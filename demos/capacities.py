@@ -70,6 +70,8 @@ def main():
     fstar, ch_b = capacity.fidelity_optimize_one_side(rho)
     print("  fidelity before %.6f, after a one-sided channel %.6f"
           % (f0, fstar))
+    print("  (the primal value of the returned channel, certified optimal"
+          " by a dual bound\n   of the semidefinite program within 1e-8)")
     print("  optimizing channel rank:", channel.rank(ch_b))
 
 

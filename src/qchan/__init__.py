@@ -11,5 +11,5 @@ Submodules:
 
 from . import numkit, channel, extremal, qubit, capacity, cli
 
-__all__ = ["numkit", "channel", "extremal"]
+__all__ = ["numkit", "channel", "extremal", "qubit", "capacity", "cli"]
 __version__ = "0.1.0"

@@ -137,18 +137,14 @@ class ExtremalSplit:
     """One proper convex split of a non-extremal channel.
 
     weight * left + (1 - weight) * right reproduces the source action;
-    q is the perturbation, r = sqrt(M) the deformation applied to the
-    Kraus frame and s = sqrt(I - M) its complement, where
-    M = a I + b Q has spectrum in [0, 1] touching both ends.
+    q is the perturbation that produced the split.
     """
 
-    def __init__(self, weight, left, right, q, r, s):
+    def __init__(self, weight, left, right, q):
         self.weight = weight
         self.left = left
         self.right = right
         self.q = q
-        self.r = r
-        self.s = s
 
 
 def split_extremal(ch):
@@ -172,9 +168,7 @@ def split_extremal(ch):
     right_choi = x @ (np.eye(q.shape[0]) - mmat) @ x.conj().T / (1 - a)
     left = channel.Channel(channel.kraus_from_choi(left_choi))
     right = channel.Channel(channel.kraus_from_choi(right_choi))
-    r = scipy.linalg.sqrtm(mmat)
-    s = scipy.linalg.sqrtm(np.eye(q.shape[0]) - mmat)
-    return ExtremalSplit(float(a), left, right, q, r, s)
+    return ExtremalSplit(float(a), left, right, q)
 
 
 def decompose_into_extremals(ch, max_terms=64):

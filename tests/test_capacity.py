@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qchan import capacity, channel, numkit, qubit
 from conftest import random_density, random_tp_channel, random_unitary
@@ -212,3 +213,62 @@ def test_fidelity_optimize_rejects_bad_input():
         capacity.fidelity_optimize_one_side(np.eye(2) / 2)
     with pytest.raises(ValueError):
         capacity.fidelity_optimize_one_side(np.diag([0.9, 0.5, 0.3, 0.1]))
+
+
+def _product_state(seed, rank_a, rank_b):
+    rng = np.random.default_rng(seed)
+    return np.kron(random_density(rng, 2, rank_a),
+                   random_density(rng, 2, rank_b))
+
+
+def _werner(x):
+    return x * bell_state() + (1 - x) * np.eye(4) / 4
+
+
+_SEEDS = st.integers(0, 2 ** 32 - 1)
+_TWO_QUBIT_STATES = st.one_of(
+    st.builds(lambda seed, rank: random_density(
+        np.random.default_rng(seed), 4, rank), _SEEDS, st.integers(1, 4)),
+    st.builds(_product_state, _SEEDS, st.integers(1, 2), st.integers(1, 2)),
+    st.builds(_werner, st.one_of(st.just(1 / 3),
+                                 st.floats(1 / 3 - 1e-3, 1 / 3 + 1e-3))),
+    st.just(np.eye(4, dtype=complex) / 4),
+    st.just(bell_state()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_TWO_QUBIT_STATES)
+def test_fidelity_optimize_certified(rho):
+    f, ch = capacity.fidelity_optimize_one_side(rho)
+    primal, dual, _ = capacity._fidelity_primal_dual(
+        capacity._fidelity_weight_matrix(rho))
+    assert primal == f
+    ks = ch.kraus
+    assert np.abs(sum(a.conj().T @ a for a in ks) - np.eye(2)).max() <= 1e-12
+    out = sum(np.kron(np.eye(2), a) @ rho @ np.kron(np.eye(2), a).conj().T
+              for a in ks)
+    phi = np.array([1, 0, 0, 1]) / np.sqrt(2)
+    assert abs(f - (phi @ out @ phi).real) <= 1e-10
+    assert f >= (phi @ rho @ phi).real - 1e-12
+    assert 0 <= dual - f <= 1e-8
+    assert len(ks) <= 2
+
+
+def test_fidelity_optimize_raises_on_a_wide_gap(monkeypatch):
+    # one coarse smoothing stage leaves a duality gap of about 7e-3 here
+    monkeypatch.setattr(capacity, "_TEMPERATURES", (1e-1,))
+    with pytest.raises(RuntimeError, match="not certified"):
+        capacity.fidelity_optimize_one_side(
+            random_density(np.random.default_rng(7), 4, 2))
+
+
+@pytest.mark.parametrize("rho, value", [
+    (0.6 * np.outer([np.cos(0.2), 0, 0, np.sin(0.2)],
+                    [np.cos(0.2), 0, 0, np.sin(0.2)])
+     + 0.4 * np.diag([0, 1, 0, 0]), 0.506292997686362),
+    (random_density(np.random.default_rng(7), 4, 2), 0.681616984071631),
+    (random_density(np.random.default_rng(8), 4, 3), 0.519729064094636)])
+def test_fidelity_optimize_matches_extremal_search(rho, value):
+    """Values of the former 25-start search over the extremal family."""
+    f, _ = capacity.fidelity_optimize_one_side(rho)
+    assert abs(f - value) <= 1e-8

@@ -60,6 +60,7 @@ def test_find_perturbation():
         assert np.abs(resid).max() < 1e-8
 
 
+@pytest.mark.filterwarnings("error")
 def test_split_extremal():
     ch = channel.depolarizing(0.5)
     sp = extremal.split_extremal(ch)
@@ -74,6 +75,7 @@ def test_split_extremal():
         extremal.split_extremal(channel.amplitude_damping(0.3))
 
 
+@pytest.mark.filterwarnings("error")
 def test_decompose_into_extremals():
     rng = np.random.default_rng(2)
     for ch in (channel.depolarizing(0.5), channel.phase_flip(0.3),
