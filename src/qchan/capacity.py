@@ -2,16 +2,19 @@
 
 Covers the quantities that reduce to finite optimizations for qubit
 channels: the quantum capacity of rank-2 unital channels (closed form in
-the top dual-state eigenvalue), the Holevo quantity by multi-start
-ensemble search, its exact fixed-average form for extremal channels via
-the channel concurrence, classical correlations of bipartite states
-under local measurement, and the best local-channel improvement of
-entanglement fidelity, solved as a semidefinite program through its
-dual: the value is a primal one, certified by a dual bound within 1e-8.
+the top dual-state eigenvalue), the Holevo quantity, its exact
+fixed-average form for extremal channels via the channel concurrence,
+classical correlations of bipartite states under local measurement, and
+the best local-channel improvement of entanglement fidelity, solved as a
+semidefinite program through its dual. Both optimizers that certify
+their answer return a primal value with a bound within 1e-8: the Holevo
+quantity a lower bound from an ensemble and the minimax upper bound,
+the fidelity a primal value and its dual bound.
 """
 
 import numpy as np
 import scipy.optimize
+import scipy.special
 
 from . import numkit, channel, extremal, qubit
 
@@ -75,12 +78,17 @@ class Povm:
 
 
 class ChiResult:
-    """A Holevo-quantity value with the ensemble achieving it."""
+    """A Holevo-quantity value, the ensemble achieving it, and a bound.
 
-    def __init__(self, chi, ensemble, method):
+    upper_bound is the minimax bound; the true chi lies between chi and
+    upper_bound.
+    """
+
+    def __init__(self, chi, ensemble, method, upper_bound):
         self.chi = chi
         self.ensemble = ensemble
         self.method = method
+        self.upper_bound = upper_bound
 
 
 def quantum_capacity_rank2_unital(ch):
@@ -107,92 +115,305 @@ def _bloch_rho(u):
             + u[2] * qubit.SZ) / 2
 
 
-def _entropy_bloch(v):
-    r = min(np.linalg.norm(v), 1.0)
-    return binary_entropy((1 + r) / 2)
+def _fibonacci_sphere(m):
+    k = np.arange(m)
+    golden = (1 + np.sqrt(5)) / 2
+    z = 1 - 2 * (k + 0.5) / m
+    r = np.sqrt(1 - z * z)
+    phi = 2 * np.pi * k / golden
+    return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
 
 
-def _chi_value(lam, t, weights, dirs):
-    outs = [t + lam @ u for u in dirs]
-    avg = sum(w * v for w, v in zip(weights, outs))
-    return _entropy_bloch(avg) - sum(
-        w * _entropy_bloch(v) for w, v in zip(weights, outs))
+# input directions of the Blahut-Arimoto stage and of the grid maximum
+_GRID = _fibonacci_sphere(400)
+_BA_ITERATIONS = 300
+# gap at which column generation stops; holevo_chi accepts up to 1e-8
+_CHI_TARGET_GAP = 1e-10
+_CHI_ROUNDS = 4
 
 
-def _angles_to_dirs(ang):
-    dirs = []
-    for k in range(0, len(ang), 2):
-        th, ph = ang[k], ang[k + 1]
-        dirs.append(np.array([np.sin(th) * np.cos(ph),
-                              np.sin(th) * np.sin(ph), np.cos(th)]))
-    return dirs
+def _entropy(r):
+    """H((1 + |r|) / 2) in bits for Bloch vectors r of shape (..., 3)."""
+    n = np.minimum(np.linalg.norm(r, axis=-1), 1.0)
+    p, q = (1 + n) / 2, (1 - n) / 2
+    return -(scipy.special.xlogy(p, p) + scipy.special.xlogy(q, q)) / LOG2
 
 
-def holevo_chi(ch, config=None):
+def _entropy_slopes(r):
+    """c1, c2 with grad H = -c1 r / ln 2, Hess H = -(c1 I + c2 r r^T) / ln 2.
+
+    H is _entropy at Bloch vectors r of shape (k, 3). The norm is capped
+    just below 1, where the slope is infinite; series replace the
+    ratios near 0.
+    """
+    n = np.minimum(np.sqrt(np.sum(r * r, axis=-1)), 1 - 1e-12)
+    small = n < 1e-4
+    ns = np.where(small, 0.5, n)
+    c1 = np.where(small, 1 + n * n / 3, np.arctanh(ns) / ns)
+    c2 = np.where(small, 2 / 3 + 4 * n * n / 5,
+                  (1 / (1 - ns * ns) - c1) / (ns * ns))
+    return c1, c2
+
+
+def _tangent_bases(u):
+    """Orthonormal bases (k, 3, 2) of the tangent planes at unit vectors u."""
+    e = np.eye(3)[np.argmin(np.abs(u), axis=1)]
+    b1 = e - np.sum(e * u, axis=1)[:, None] * u
+    b1 /= np.sqrt(np.sum(b1 * b1, axis=1))[:, None]
+    b2 = u[:, [1, 2, 0]] * b1[:, [2, 0, 1]] - u[:, [2, 0, 1]] * b1[:, [1, 2, 0]]
+    return np.stack([b1, b2], axis=2)
+
+
+def _output_hessians(lam, u, r, c1, c2):
+    """Tangent-plane images l = lam B of the inputs and the Hessians of H
+    along them, B^T lam^T Hess H(r) lam B, formed from l^T r so that
+    the large radial curvature of nearly pure outputs cancels exactly."""
+    l = np.einsum("ab,ibc->iac", lam, _tangent_bases(u))
+    lr = np.einsum("iac,ia->ic", l, r)
+    return l, -(c1[:, None, None] * np.einsum("iac,iad->icd", l, l)
+                + c2[:, None, None] * lr[:, :, None] * lr[:, None, :]) / LOG2
+
+
+def _simplex_basis(k):
+    """Orthonormal basis (k, k - 1) of the weight changes summing to 0."""
+    return np.linalg.svd(np.ones((1, k)))[2][1:].T
+
+
+def _chi_terms(lam, t, w, u):
+    """chi of the pure-state ensemble (w, u), with gradient and Hessian.
+
+    Derivatives are taken in the weights, restricted to sum(w) = 1 by
+    the orthonormal basis z of that plane, and in the tangent planes of
+    the input directions, with the sphere's curvature term.
+    """
+    k = len(w)
+    r = t + u @ lam.T
+    rbar = w @ r
+    h = _entropy(r)
+    c1, c2 = _entropy_slopes(np.vstack([rbar, r]))
+    gb = -c1[0] * rbar / LOG2
+    hb = -(c1[0] * np.eye(3) + c2[0] * np.outer(rbar, rbar)) / LOG2
+    dg = gb + c1[1:, None] * r / LOG2
+    l, own = _output_hessians(lam, u, r, c1[1:], c2[1:])
+    slope = np.einsum("iac,ia->ic", l, dg)
+    lhb = np.einsum("iac,ab->icb", l, hb)
+    hdd = np.einsum("i,j,icb,jbd->icjd", w, w, lhb, l)
+    curv = w * np.sum((r - t) * dg, axis=1)
+    for i in range(k):
+        hdd[i, :, i, :] -= w[i] * own[i] + curv[i] * np.eye(2)
+    hwd = w[None, :, None] * np.einsum("icb,jb->jic", lhb, r)
+    hwd[np.arange(k), np.arange(k)] += slope
+    z = _simplex_basis(k)
+    hwd = z.T @ hwd.reshape(k, 2 * k)
+    grad = np.concatenate([z.T @ (r @ gb - h), (w[:, None] * slope).ravel()])
+    hess = np.block([[z.T @ r @ hb @ r.T @ z, hwd],
+                     [hwd.T, hdd.reshape(2 * k, 2 * k)]])
+    return _entropy(rbar) - w @ h, grad, hess
+
+
+def _divergence(lam, t, s, u):
+    """D(Phi(u) || sigma_s) in bits for input directions u (k, 3)."""
+    r = t + u @ lam.T
+    ns = np.linalg.norm(s)
+    shat = s / ns if ns > 0 else s
+    a = 0.5 * np.log((1 - ns * ns) / 4)
+    return -_entropy(r) - (a + np.arctanh(ns) * (r @ shat)) / LOG2
+
+
+def _divergence_terms(lam, t, s, u):
+    """D(Phi(u) || sigma_s) at one direction u, with tangent derivatives."""
+    r = t + lam @ u
+    ns = np.linalg.norm(s)
+    c1, c2 = _entropy_slopes(r[None])
+    slope = (c1[0] * r - np.arctanh(ns) * s / max(ns, 1e-300)) / LOG2
+    l, own = _output_hessians(lam, u[None], r[None], c1, c2)
+    hess = -own[0] - ((r - t) @ slope) * np.eye(2)
+    return _divergence(lam, t, s, u[None])[0], l[0].T @ slope, hess
+
+
+def _ascend(terms, move, x, cutoff=1e-10, iterations=100):
+    """Maximize by Newton steps on |Hessian|, halving until no decrease.
+
+    terms(x) gives (value, gradient, Hessian) in local coordinates and
+    move(x, step) the point those coordinates name. Eigenvalues of the
+    Hessian are taken by magnitude, so every step points uphill;
+    directions whose curvature is below cutoff times the largest are
+    left alone. Stops when the gradient along the others is at rounding
+    level or no step gains.
+    """
+    f, g, h = terms(x)
+    for _ in range(iterations):
+        mu, v = np.linalg.eigh(h)
+        mu = np.abs(mu)
+        gv = np.where(mu > cutoff * max(mu.max(), 1e-2), v.T @ g, 0.0)
+        if np.abs(gv).max(initial=0.0) <= 1e-12:
+            break
+        step = v @ (gv / np.maximum(mu, 1e-300))
+        tau = 1.0
+        while tau > 1e-12:
+            x_new = move(x, tau * step)
+            f_new, g_new, h_new = terms(x_new)
+            if f_new >= f - 1e-14:
+                break
+            tau /= 2
+        else:
+            break
+        x, f, g, h = x_new, f_new, g_new, h_new
+    return x, f
+
+
+def _move_ensemble(ens, step):
+    """Step an ensemble, stopping where a weight reaches 0; it then leaves."""
+    w, u = ens
+    k = len(w)
+    dw = _simplex_basis(k) @ step[:k - 1]
+    falling = dw < 0
+    frac = min(1.0, (w[falling] / -dw[falling]).min(initial=np.inf))
+    w = w + frac * dw
+    u = u + frac * np.einsum("iac,ic->ia", _tangent_bases(u),
+                             step[k - 1:].reshape(k, 2))
+    keep = w > 1e-15
+    return (w[keep] / w[keep].sum(),
+            u[keep] / np.linalg.norm(u[keep], axis=1)[:, None])
+
+
+def _polish_ensemble(lam, t, w, u):
+    """Newton ascent of chi in the weights and directions of (w, u).
+
+    A second pass moves only along well-curved directions. Nearly flat
+    ones (inputs whose outputs are almost pure) can keep the first pass
+    taking long steps, which leaves the average output off balance; the
+    second pass settles it.
+    """
+    def terms(ens):
+        return _chi_terms(lam, t, *ens)
+
+    ens = _ascend(terms, _move_ensemble, (w, u))[0]
+    return _ascend(terms, _move_ensemble, ens, cutoff=1e-4)[0]
+
+
+def _divergence_max(lam, t, s, starts):
+    """max over the sphere of D(Phi(u) || sigma_s): grid, then polish.
+
+    The three best grid points and the given starts are polished by
+    Newton ascent on the sphere. Returns (value, u).
+    """
+    vals = _divergence(lam, t, s, _GRID)
+    starts = np.concatenate([_GRID[np.argsort(vals)[-3:]], starts])
+
+    def move(u, step):
+        v = u + _tangent_bases(u[None])[0] @ step
+        return v / np.linalg.norm(v)
+
+    best = (-np.inf, None)
+    for u0 in starts:
+        u, val = _ascend(lambda v: _divergence_terms(lam, t, s, v), move, u0)
+        best = max(best, (val, u), key=lambda p: p[0])
+    return best
+
+
+def _blahut_arimoto(lam, t):
+    """Weights on _GRID after _BA_ITERATIONS of w <- w 2^D(r_i || rbar)."""
+    r = t + _GRID @ lam.T
+    w = np.full(len(_GRID), 1 / len(_GRID))
+    for _ in range(_BA_ITERATIONS):
+        d = _divergence(lam, t, (1 - 1e-12) * (w @ r), _GRID)
+        w = w * np.exp2(d - d.max())
+        w /= w.sum()
+    return w
+
+
+def _cluster(w):
+    """Merge weights on _GRID into at most four weighted directions.
+
+    Grid points within 0.35 rad (two grid spacings) of a heavier group
+    join it. Four is enough: an optimal qubit ensemble needs at most
+    four pure states.
+    """
+    groups = []
+    for j in np.argsort(-w):
+        if w[j] < 1e-4 * w.max():
+            break
+        for grp in groups:
+            if _GRID[j] @ grp[1] / np.linalg.norm(grp[1]) > np.cos(0.35):
+                grp[0] += w[j]
+                grp[1] += w[j] * _GRID[j]
+                break
+        else:
+            groups.append([w[j], w[j] * _GRID[j]])
+    groups = sorted(groups, key=lambda grp: -grp[0])[:4]
+    ws = np.array([grp[0] for grp in groups])
+    us = np.array([grp[1] / np.linalg.norm(grp[1]) for grp in groups])
+    return ws / ws.sum(), us
+
+
+def _chi_bounds(lam, t, w, u):
+    """chi of the ensemble (w, u), the minimax bound at its average output,
+    and the input direction attaining that bound."""
+    r = t + u @ lam.T
+    rbar = w @ r
+    # any sigma gives a bound; mixing in 1e-12 of I/2 keeps log sigma finite
+    s = (1 - 1e-12) * rbar
+    upper, u_star = _divergence_max(lam, t, s, u)
+    # allowance for rounding in terms up to atanh|s|, so the bound stays one
+    upper += 256 * np.finfo(float).eps * (1 + np.arctanh(np.linalg.norm(s)))
+    return _entropy(rbar) - w @ _entropy(r), upper, u_star
+
+
+def _chi_primal_dual(lam, t):
+    """Ensemble (w, u) with its chi and a minimax upper bound."""
+    w, u = _cluster(_blahut_arimoto(lam, t))
+    if len(w) < 2:  # one state carries no information; start from a pair
+        w, u = np.array([0.5, 0.5]), np.concatenate([u, -u])
+    for k in range(_CHI_ROUNDS):
+        w, u = _polish_ensemble(lam, t, w, u)
+        lower, upper, u_star = _chi_bounds(lam, t, w, u)
+        if upper - lower <= _CHI_TARGET_GAP or k == _CHI_ROUNDS - 1:
+            break
+        w, u = np.append(0.99 * w, 0.01), np.vstack([u, u_star])
+    # antipodal pairs along the cardinal axes, exact for clean channels;
+    # every sigma gives a bound, so the lower of the two is kept
+    for axis in np.eye(3):
+        pair = (np.array([0.5, 0.5]), np.array([axis, -axis]))
+        r = t + pair[1] @ lam.T
+        if _entropy(pair[0] @ r) - pair[0] @ _entropy(r) >= lower:
+            (w, u), (lower, pair_upper, _) = pair, _chi_bounds(lam, t, *pair)
+            upper = min(upper, pair_upper)
+    return w, u, lower, upper
+
+
+def holevo_chi(ch):
     """Maximize S(out of average) - average output entropy over ensembles.
 
-    Pure-state ensembles of two and three states are searched by seeded
-    Nelder-Mead restarts in Bloch coordinates, after direct evaluation
-    of the cardinal-axis candidates (which makes clean channels like the
-    identity exact). The winner is rebuilt as density matrices and the
-    value recomputed from them before returning.
+    Works on the Bloch map r = t + lam u of the channel. A lower bound
+    comes from a pure-state ensemble: Blahut-Arimoto weights on a grid
+    of input directions, merged into at most four points and polished
+    by Newton steps on weights and directions, with the cardinal
+    antipodal pairs as extra candidates (exact for clean channels like
+    the identity). The upper bound is the minimax one,
+    chi <= max over pure psi of D(Phi(psi) || sigma), at sigma the output
+    of the ensemble's average; the inner maximum comes from a grid plus
+    local polish. While the gap is wide the maximizer joins the ensemble
+    and the polish runs again. The ensemble is rebuilt as density
+    matrices and its value recomputed from them. Raises RuntimeError if
+    the upper bound is more than 1e-8 above that value.
     """
     if ch.dim != 2 or not channel.is_tp(ch):
         raise ValueError("need a trace-preserving qubit channel")
-    config = dict(config or {})
-    seed = config.pop("seed", 0)
-    restarts = config.pop("restarts", 64)
-    kvals = tuple(config.pop("kvals", (2, 3)))
-    if config:
-        raise ValueError("unknown config keys: %s" % sorted(config))
     p = qubit.ptm(ch)
-    lam, t = p.lam, p.t
-    rng = np.random.default_rng(seed)
-
-    best = (-1.0, None, None)
-    # antipodal pairs along the cardinal axes, evaluated exactly
-    for axis in np.eye(3):
-        ws = [0.5, 0.5]
-        ds = [axis, -axis]
-        val = _chi_value(lam, t, ws, ds)
-        if val > best[0]:
-            best = (val, ws, ds)
-
-    for k in kvals:
-        def objective(x, k=k):
-            raw = np.concatenate([x[:k - 1], [0.0]])
-            w = np.exp(raw - raw.max())
-            w /= w.sum()
-            dirs = _angles_to_dirs(x[k - 1:])
-            return -_chi_value(lam, t, w, dirs)
-
-        npar = (k - 1) + 2 * k
-        for trial in range(restarts):
-            angles = np.concatenate([
-                [np.arccos(rng.uniform(-1, 1)), rng.uniform(-np.pi, np.pi)]
-                for _ in range(k)])
-            x0 = np.concatenate([rng.normal(scale=0.5, size=k - 1), angles])
-            res = scipy.optimize.minimize(
-                objective, x0, method="Nelder-Mead",
-                options={"maxiter": 600 * npar, "xatol": 1e-10,
-                         "fatol": 1e-12})
-            if -res.fun > best[0]:
-                raw = np.concatenate([res.x[:k - 1], [0.0]])
-                w = np.exp(raw - raw.max())
-                w /= w.sum()
-                best = (-res.fun, list(w), _angles_to_dirs(res.x[k - 1:]))
-
-    val, ws, ds = best
-    keep = [(w, d) for w, d in zip(ws, ds) if w > 1e-12]
-    total = sum(w for w, _ in keep)
-    ens = Ensemble([(w / total, _bloch_rho(d)) for w, d in keep])
+    w, u, val, upper = _chi_primal_dual(p.lam, p.t)
+    ens = Ensemble([(wk, _bloch_rho(uk)) for wk, uk in zip(w, u)])
     avg_out = channel.apply(ch, ens.average())
     recomputed = von_neumann_entropy(avg_out) - sum(
-        w * von_neumann_entropy(channel.apply(ch, r))
-        for w, r in ens.items)
+        wk * von_neumann_entropy(channel.apply(ch, r))
+        for wk, r in ens.items)
     if abs(recomputed - val) > 1e-9:
         raise RuntimeError("ensemble does not reproduce the reported value")
-    return ChiResult(float(recomputed), ens, "multistart")
+    if upper - recomputed > 1e-8:
+        raise RuntimeError("Holevo chi not certified: ensemble %.12f, "
+                           "upper bound %.12f" % (recomputed, upper))
+    return ChiResult(float(recomputed), ens, "blahut-arimoto minimax",
+                     float(upper))
 
 
 def _channel_concurrence_pair(a1, a2):
@@ -254,15 +475,6 @@ def _correlation_value(rho_ab, elements, measured_first, s_remote):
             continue
         val -= p * von_neumann_entropy(weighted / p)
     return val
-
-
-def _fibonacci_sphere(m):
-    k = np.arange(m)
-    golden = (1 + np.sqrt(5)) / 2
-    z = 1 - 2 * (k + 0.5) / m
-    r = np.sqrt(1 - z * z)
-    phi = 2 * np.pi * k / golden
-    return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
 
 
 def classical_correlations(rho_ab, side="b", seed=0):

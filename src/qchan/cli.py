@@ -261,8 +261,9 @@ def _result_lines(name, res):
                 lines.append("capacities: %s: skipped (%s)"
                              % (key, sub["skipped"]))
             elif key == "holevo_chi":
-                lines.append("capacities: holevo_chi=%.9f (%s)"
-                             % (sub["value"], sub["method"]))
+                lines.append("capacities: holevo_chi=%.9f (%s, gap %.1e)"
+                             % (sub["value"], sub["method"],
+                                sub["upper_bound"] - sub["value"]))
                 lines.append("  ensemble weights: "
                              + _fmt_vec(sub["ensemble"]["weights"]))
             else:
@@ -327,9 +328,10 @@ def _run_analysis(name, ch, seed, tol):
         if name == "capacities":
             out = {}
             try:
-                res = capacity.holevo_chi(ch, {"seed": seed})
+                res = capacity.holevo_chi(ch)
                 out["holevo_chi"] = {
                     "value": float(res.chi), "method": res.method,
+                    "upper_bound": float(res.upper_bound),
                     "ensemble": {
                         "weights": [float(w) for w, _ in res.ensemble.items],
                         "states": [_encode_matrix(r)
@@ -453,8 +455,6 @@ def build_parser():
     pd = sub.add_parser("decompose",
                         help="split into extremal components")
     pd.add_argument("path")
-    pd.add_argument("--seed", type=int, default=0)
-    pd.add_argument("--tol", type=float, default=1e-9)
     pd.add_argument("--format", choices=("text", "structured"),
                     default="text")
 

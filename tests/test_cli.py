@@ -73,6 +73,8 @@ def test_analyze_amplitude_damping_report(tmp_path, capsys):
     assert report["results"]["extremality"]["extremal"] is True
     assert report["results"]["eb"]["entanglement_breaking"] is False
     assert abs(report["results"]["fidelity"]["f_max"] - 0.75) < 1e-9
+    chi = report["results"]["capacities"]["holevo_chi"]
+    assert 0 <= chi["upper_bound"] - chi["value"] <= 1e-8
     assert report["provenance"]["seed"] == 0
 
 
@@ -185,7 +187,8 @@ def test_ellipsoid_identity_and_point(tmp_path):
     ident = write_doc(tmp_path, "id.json", {"builder": "identity"})
     out = str(tmp_path / "id.csv")
     run(["ellipsoid", ident, out])
-    vals = [float(x) for x in list(csv.reader(open(out)))[1]]
+    with open(out) as fh:
+        vals = [float(x) for x in list(csv.reader(fh))[1]]
     assert np.abs(np.array(vals[0:3])).max() < 1e-12
     assert np.abs(np.array(vals[3:6]) - 1).max() < 1e-12
 
@@ -193,7 +196,8 @@ def test_ellipsoid_identity_and_point(tmp_path):
                       {"builder": "amplitude_damping", "gamma": 1.0})
     out = str(tmp_path / "cd.csv")
     run(["ellipsoid", point, out])
-    vals = [float(x) for x in list(csv.reader(open(out)))[1]]
+    with open(out) as fh:
+        vals = [float(x) for x in list(csv.reader(fh))[1]]
     assert np.abs(np.array(vals[3:6])).max() < 1e-9
 
 
@@ -209,9 +213,11 @@ def test_ellipsoid_rejects_non_qubit(tmp_path, capsys):
 def test_text_format_mentions_key_results(tmp_path, capsys):
     path = write_doc(tmp_path, "ad.json",
                      {"builder": "amplitude_damping", "gamma": 0.5})
-    code = run(["analyze", path, "--rank", "--fidelity", "--eb"])
+    code = run(["analyze", path, "--rank", "--fidelity", "--eb",
+                "--capacities"])
     assert code == 0
     out = capsys.readouterr().out
     assert "rank: 2" in out
     assert "f_max=0.750000000" in out
     assert "breaking=no" in out
+    assert "holevo_chi=0.471729391 (blahut-arimoto minimax, gap " in out
