@@ -6,10 +6,11 @@ the top dual-state eigenvalue), the Holevo quantity, its exact
 fixed-average form for extremal channels via the channel concurrence,
 classical correlations of bipartite states under local measurement, and
 the best local-channel improvement of entanglement fidelity, solved as a
-semidefinite program through its dual. Both optimizers that certify
-their answer return a primal value with a bound within 1e-8: the Holevo
-quantity a lower bound from an ensemble and the minimax upper bound,
-the fidelity a primal value and its dual bound.
+semidefinite program through its dual. All three optimizers certify
+their answer with a bound within 1e-8: the Holevo quantity a lower
+bound from an ensemble and the minimax upper bound, classical
+correlations the value of a POVM and the dual bound of the measurement
+linear program, the fidelity a primal value and its dual bound.
 """
 
 import numpy as np
@@ -37,10 +38,7 @@ def binary_entropy(p):
 
 def von_neumann_entropy(rho):
     """Entropy in bits from the eigenvalues, with 0 log 0 = 0."""
-    rho = numkit.require_hermitian(rho)
-    w = numkit.eigh(rho)[0]
-    if w.min() < -1e-9 or abs(w.sum() - 1) > 1e-9:
-        raise ValueError("input is not a density matrix")
+    w = numkit.require_density(rho)[1]
     w = w[w > 1e-15]
     return float(-(w * np.log(w)).sum() / LOG2)
 
@@ -54,9 +52,7 @@ class Ensemble:
         if abs(total - 1) > 1e-12:
             raise ValueError("ensemble weights sum to %r" % total)
         for _, r in items:
-            w = numkit.eigh(numkit.require_hermitian(r))[0]
-            if w.min() < -1e-9 or abs(w.sum() - 1) > 1e-9:
-                raise ValueError("ensemble contains a non-density entry")
+            numkit.require_density(r)
         self.items = items
 
     def average(self):
@@ -262,6 +258,12 @@ def _ascend(terms, move, x, cutoff=1e-10, iterations=100):
     return x, f
 
 
+def _move_on_sphere(u, step):
+    """The unit vector a tangent-plane step away from u."""
+    v = u + _tangent_bases(u[None])[0] @ step
+    return v / np.linalg.norm(v)
+
+
 def _move_ensemble(ens, step):
     """Step an ensemble, stopping where a weight reaches 0; it then leaves."""
     w, u = ens
@@ -301,13 +303,10 @@ def _divergence_max(lam, t, s, starts):
     vals = _divergence(lam, t, s, _GRID)
     starts = np.concatenate([_GRID[np.argsort(vals)[-3:]], starts])
 
-    def move(u, step):
-        v = u + _tangent_bases(u[None])[0] @ step
-        return v / np.linalg.norm(v)
-
     best = (-np.inf, None)
     for u0 in starts:
-        u, val = _ascend(lambda v: _divergence_terms(lam, t, s, v), move, u0)
+        u, val = _ascend(lambda v: _divergence_terms(lam, t, s, v),
+                         _move_on_sphere, u0)
         best = max(best, (val, u), key=lambda p: p[0])
     return best
 
@@ -323,24 +322,24 @@ def _blahut_arimoto(lam, t):
     return w
 
 
-def _cluster(w):
-    """Merge weights on _GRID into at most four weighted directions.
+def _cluster(w, dirs):
+    """Merge weights on directions into at most four weighted directions.
 
-    Grid points within 0.35 rad (two grid spacings) of a heavier group
-    join it. Four is enough: an optimal qubit ensemble needs at most
-    four pure states.
+    Directions within 0.35 rad (two spacings of _GRID) of a heavier
+    group join it. Four is enough: an optimal qubit ensemble needs at
+    most four pure states, an optimal qubit POVM at most four outcomes.
     """
     groups = []
     for j in np.argsort(-w):
         if w[j] < 1e-4 * w.max():
             break
         for grp in groups:
-            if _GRID[j] @ grp[1] / np.linalg.norm(grp[1]) > np.cos(0.35):
+            if dirs[j] @ grp[1] / np.linalg.norm(grp[1]) > np.cos(0.35):
                 grp[0] += w[j]
-                grp[1] += w[j] * _GRID[j]
+                grp[1] += w[j] * dirs[j]
                 break
         else:
-            groups.append([w[j], w[j] * _GRID[j]])
+            groups.append([w[j], w[j] * dirs[j]])
     groups = sorted(groups, key=lambda grp: -grp[0])[:4]
     ws = np.array([grp[0] for grp in groups])
     us = np.array([grp[1] / np.linalg.norm(grp[1]) for grp in groups])
@@ -362,7 +361,7 @@ def _chi_bounds(lam, t, w, u):
 
 def _chi_primal_dual(lam, t):
     """Ensemble (w, u) with its chi and a minimax upper bound."""
-    w, u = _cluster(_blahut_arimoto(lam, t))
+    w, u = _cluster(_blahut_arimoto(lam, t), _GRID)
     if len(w) < 2:  # one state carries no information; start from a pair
         w, u = np.array([0.5, 0.5]), np.concatenate([u, -u])
     for k in range(_CHI_ROUNDS):
@@ -412,8 +411,9 @@ def holevo_chi(ch):
     if upper - recomputed > 1e-8:
         raise RuntimeError("Holevo chi not certified: ensemble %.12f, "
                            "upper bound %.12f" % (recomputed, upper))
-    return ChiResult(float(recomputed), ens, "blahut-arimoto minimax",
-                     float(upper))
+    # chi >= 0; a constant channel's entropies cancel to 0 or -0.0
+    return ChiResult(max(0.0, float(recomputed)), ens,
+                     "blahut-arimoto minimax", float(upper))
 
 
 def _channel_concurrence_pair(a1, a2):
@@ -452,88 +452,257 @@ def chi_given_average(ch, rho_avg):
 
 # --- classical correlations ---------------------------------------------------
 
-def _steered(rho_ab, element, measured_first):
-    """Probability and steered remote state for one POVM element."""
-    eye = np.eye(2, dtype=complex)
-    if measured_first:
-        op = numkit.kron(element, eye)
-        traced = 1
-    else:
-        op = numkit.kron(eye, element)
-        traced = 2
-    weighted = numkit.partial_trace(op @ rho_ab, 2, 2, traced)
-    weighted = (weighted + weighted.conj().T) / 2
-    p = float(np.trace(weighted).real)
-    return p, weighted
-
-
 def _correlation_value(rho_ab, elements, measured_first, s_remote):
+    """S(remote) less the average remote entropy the POVM leaves.
+
+    Outcome E leaves p S(W / p) with W = Tr_measured((E (x) I) rho) and
+    p = Tr W, taken as -(sum l log l - p log p) over the eigenvalues l
+    of W, which stays accurate for improbable outcomes.
+    """
+    eye = np.eye(2)
     val = s_remote
     for e in elements:
-        p, weighted = _steered(rho_ab, e, measured_first)
-        if p < 1e-12:
-            continue
-        val -= p * von_neumann_entropy(weighted / p)
+        if measured_first:
+            w = numkit.partial_trace(numkit.kron(e, eye) @ rho_ab, 2, 2, 1)
+        else:
+            w = numkit.partial_trace(numkit.kron(eye, e) @ rho_ab, 2, 2, 2)
+        lam = np.maximum(numkit.eigh((w + w.conj().T) / 2)[0], 0.0)
+        val += (scipy.special.xlogy(lam, lam).sum()
+                - scipy.special.xlogy(lam.sum(), lam.sum())) / LOG2
     return val
 
 
-def classical_correlations(rho_ab, side="b", seed=0):
+_PAULI_PAIRS = np.array([[numkit.kron(s, t) for t in qubit.PAULIS]
+                         for s in qubit.PAULIS])
+# gap at which column generation stops; classical_correlations accepts 1e-8
+_CORRELATION_TARGET_GAP = 1e-10
+_CORRELATION_ROUNDS = 4
+
+
+def _correlation_frame(rho_ab, measured_first):
+    """Bloch data (a, b, T) of rho_ab with the measured qubit's first:
+    rho = (I + a.sigma (x) I + I (x) b.sigma + T_ij sigma_i (x) sigma_j) / 4
+    in the order (measured, remote)."""
+    r = np.einsum("mnij,ji->mn", _PAULI_PAIRS, rho_ab).real
+    if not measured_first:
+        r = r.T
+    return r[1:, 0], r[0, 1:], r[1:, 1:]
+
+
+def _conditional(frame, u):
+    """f(u) = p S(v / p) in bits for measured directions u (k, 3).
+
+    The outcome c (I + u.sigma) has probability c p, p = 1 + a.u, and
+    leaves the remote qubit at Bloch vector v / p, v = b + T^T u. Written
+    as the perspective -(q+ log q+ + q- log q- - p log p) / ln 2 with
+    q+- = (p +- |v|) / 2, so it stays finite as p -> 0.
+    """
+    a, b, tt = frame
+    p = np.maximum(1 + u @ a, 0.0)
+    nv = np.sqrt(np.sum((b + u @ tt) ** 2, axis=-1))
+    qp, qm = (p + nv) / 2, np.maximum((p - nv) / 2, 0.0)
+    return -(scipy.special.xlogy(qp, qp) + scipy.special.xlogy(qm, qm)
+             - scipy.special.xlogy(p, p)) / LOG2
+
+
+def _conditional_terms(frame, u):
+    """_conditional at directions u (k, 3) with its gradient (k, 3) and
+    Hessian (k, 3, 3) in the ambient coordinates of u.
+
+    With rho = v / p and l = p d rho / du = T^T - rho a^T, the Hessian
+    is l^T Hess H(rho) l / p, formed from l^T rho so that the large
+    radial curvature of nearly pure remote states cancels exactly.
+    """
+    a, b, tt = frame
+    p = np.maximum(1 + u @ a, 1e-100)
+    v = b + u @ tt
+    # |v| <= p but for rounding; a pure remote state stays pure
+    rho = v / np.maximum(p, np.sqrt(np.sum(v * v, axis=1)))[:, None]
+    c1, c2 = _entropy_slopes(rho)
+    dh = -c1[:, None] * rho / LOG2
+    l = tt.T[None] - rho[:, :, None] * a[None, None, :]
+    lr = np.einsum("kji,kj->ki", l, rho)
+    grad = (_entropy(rho) - np.sum(rho * dh, axis=1))[:, None] * a \
+        + dh @ tt.T
+    hess = -(c1[:, None, None] * np.einsum("kji,kjl->kil", l, l)
+             + c2[:, None, None] * lr[:, :, None] * lr[:, None, :]) \
+        / (LOG2 * p[:, None, None])
+    return _conditional(frame, u), grad, hess
+
+
+def _tangent_curvature(bases, u, hess, slope):
+    """B^T Hess B - (u . slope) I: the Hessian along the sphere at u."""
+    return (np.einsum("kai,kab,kbj->kij", bases, hess, bases)
+            - np.sum(u * slope, axis=1)[:, None, None] * np.eye(2))
+
+
+def _measurement_lp(frame, u):
+    """Weights c >= 0 on directions u minimizing sum c f(u) subject to
+    sum c = 1 and sum c u = 0, with the LP dual (y0, y)."""
+    res = scipy.optimize.linprog(
+        _conditional(frame, u), A_eq=np.vstack([np.ones(len(u)), u.T]),
+        b_eq=np.array([1.0, 0.0, 0.0, 0.0]), method="highs-ds",
+        options={"primal_feasibility_tolerance": 1e-10,
+                 "dual_feasibility_tolerance": 1e-10})
+    if res.status != 0:
+        raise RuntimeError("measurement LP failed: %s" % res.message)
+    return res.x, res.eqlin.marginals[0], res.eqlin.marginals[1:]
+
+
+def _kkt_system(frame, c, u, y, y0):
+    """Residual and Jacobian of the optimality conditions of a POVM.
+
+    Conditions: f(u_i) = y0 + y.u_i and the tangent part of grad f(u_i)
+    equals that of y (each u_i minimizes f - y.u at level y0), sum c = 1
+    and sum c u = 0. Unknowns in order: tangent steps of the u_i, c, y,
+    y0.
+    """
+    k = len(c)
+    f, grad, hess = _conditional_terms(frame, u)
+    bases = _tangent_bases(u)
+    gy = grad - y
+    slope = np.einsum("kab,ka->kb", bases, gy)
+    curv = _tangent_curvature(bases, u, hess, gy)
+    res = np.concatenate([f - y0 - u @ y, slope.ravel(), [c.sum() - 1],
+                          c @ u])
+    jac = np.zeros((3 * k + 4, 3 * k + 4))
+    for i in range(k):
+        s, r = slice(2 * i, 2 * i + 2), slice(k + 2 * i, k + 2 * i + 2)
+        jac[i, s], jac[i, 3 * k:3 * k + 3], jac[i, -1] = slope[i], -u[i], -1
+        jac[r, s], jac[r, 3 * k:3 * k + 3] = curv[i], -bases[i].T
+        jac[3 * k, 2 * k + i] = 1
+        jac[3 * k + 1:, 2 * k + i] = u[i]
+        jac[3 * k + 1:, s] = c[i] * bases[i]
+    return res, jac
+
+
+def _move_measurement(c, u, y, y0, step):
+    """Apply a step in the unknowns of _kkt_system; a weight that falls
+    to 0 leaves the support."""
+    k = len(c)
+    u = u + np.einsum("kai,ki->ka", _tangent_bases(u),
+                      step[:2 * k].reshape(k, 2))
+    c = c + step[2 * k:3 * k]
+    keep = c > 1e-12
+    return (c[keep], u[keep] / np.linalg.norm(u[keep], axis=1)[:, None],
+            y + step[3 * k:3 * k + 3], y0 + step[-1])
+
+
+def _polish_measurement(frame, c, u, y, y0, iterations=30):
+    """Levenberg-Marquardt steps on _kkt_system, halving until the
+    residual falls.
+
+    The damping |residual|^2 keeps convergence quadratic where optimal
+    POVMs are not unique and the Jacobian is singular. A step that would
+    take a weight below 0 stops where it reaches 0.
+    """
+    res, jac = _kkt_system(frame, c, u, y, y0)
+    for _ in range(iterations):
+        norm = np.linalg.norm(res)
+        if norm <= 1e-12:
+            break
+        step = -np.linalg.solve(jac.T @ jac + norm ** 2 * np.eye(len(res)),
+                                jac.T @ res)
+        k = len(c)
+        dc = step[2 * k:3 * k]
+        frac = min(1.0, (c[dc < 0] / -dc[dc < 0]).min(initial=np.inf))
+        for tau in frac * 0.5 ** np.arange(10):
+            cand = _move_measurement(c, u, y, y0, tau * step)
+            res_new, jac_new = _kkt_system(frame, *cand)
+            if len(cand[0]) < k or np.linalg.norm(res_new) < norm:
+                break
+        else:
+            break
+        (c, u, y, y0), res, jac = cand, res_new, jac_new
+    # sum c = 1 and sum c u = 0 to rounding: the stationarity rows can
+    # stall at a rounding floor that the least-squares step shares out
+    for _ in range(2):
+        step = -np.linalg.lstsq(jac[-4:], res[-4:], rcond=None)[0]
+        c, u, y, y0 = _move_measurement(c, u, y, y0, step)
+        res, jac = _kkt_system(frame, c, u, y, y0)
+    return c, u, y, y0
+
+
+def _conditional_min(frame, y, starts):
+    """min over the sphere of f(u) - y.u: grid, then polish.
+
+    The three best grid points and the given starts are polished by
+    Newton steps on the sphere. Returns (value, u).
+    """
+    vals = _conditional(frame, _GRID) - _GRID @ y
+    starts = np.concatenate([_GRID[np.argsort(vals)[:3]], starts])
+
+    def terms(u):
+        f, grad, hess = _conditional_terms(frame, u[None])
+        bases = _tangent_bases(u[None])
+        gy = grad - y
+        slope = bases[0].T @ gy[0]
+        curv = _tangent_curvature(bases, u[None], hess, gy)[0]
+        return y @ u - f[0], -slope, -curv
+
+    u, val = max((_ascend(terms, _move_on_sphere, u0) for u0 in starts),
+                 key=lambda p: p[1])
+    return -val, u
+
+
+def _correlation_primal_dual(rho_ab, side):
+    """Certified minimum of the measured conditional entropy.
+
+    Returns (value, bound, povm): value = S(remote) - sum_i p_i S(remote
+    given outcome i) of the POVM, recomputed from density matrices, and
+    bound >= J(rho_ab) from the LP dual.
+    """
+    measured_first = side == "b"
+    frame = _correlation_frame(rho_ab, measured_first)
+    remote = numkit.partial_trace(rho_ab, 2, 2, 1 if measured_first else 2)
+    s_remote = von_neumann_entropy(remote)
+    points = _GRID
+    for k in range(_CORRELATION_ROUNDS):
+        c, y0, y = _measurement_lp(frame, points)
+        c, u = _cluster(c, points)
+        c, u, y, y0 = _polish_measurement(frame, c, u, y, y0)
+        low, u_star = _conditional_min(frame, y, u)
+        cond = c @ _conditional(frame, u)
+        if cond - low <= _CORRELATION_TARGET_GAP or \
+                k == _CORRELATION_ROUNDS - 1:
+            break
+        points = np.vstack([_GRID, u, u_star])
+    # allowance for rounding in f (below 2 bits) and in y.u
+    low -= 256 * np.finfo(float).eps * (1 + np.linalg.norm(y))
+    povm = Povm([2 * ck * _bloch_rho(uk) for ck, uk in zip(c, u)])
+    value = _correlation_value(rho_ab, povm.elements, measured_first,
+                               s_remote)
+    if abs(value - (s_remote - cond)) > 1e-9:
+        raise RuntimeError("POVM does not reproduce the reported value")
+    return value, s_remote - low, povm
+
+
+def classical_correlations(rho_ab, side="b"):
     """Correlations extractable by measuring one qubit of a pair.
 
     side "b": measure subsystem A and quantify the entropy reduction of
-    B (and symmetrically for side "a"). Two-outcome projective
-    measurements are scanned over a dense Bloch grid and polished;
-    seeded random 3- and 4-outcome rank-1 POVMs then refine the result,
-    which therefore never decreases with the extra stage. A lower bound
-    by construction.
+    B (and symmetrically for side "a"). A POVM {c_i (I + u_i.sigma)}
+    with sum c_i = 1 and sum c_i u_i = 0 leaves conditional entropy
+    sum c_i f(u_i); rank-1 POVMs of at most four outcomes suffice for a
+    qubit. A linear program over a 400-point grid of directions picks
+    the weights, and damped Newton (Levenberg-Marquardt) steps on its
+    optimality conditions polish weights and directions. Any y in R^3
+    gives the dual bound J <= S(remote) - min over the sphere of
+    f(u) - y.u, which holds for every POVM because f is concave on the
+    Bloch ball; the minimum comes from a grid plus local polish, so the
+    bound is exact if that finds the global minimum. While the gap is
+    wide the minimizers join the LP and the polish runs again. The POVM
+    is built as matrices and its value recomputed from them. Raises
+    RuntimeError if the bound is more than 1e-8 above that value.
     """
-    rho_ab = numkit.require_hermitian(np.asarray(rho_ab, dtype=complex))
-    if rho_ab.shape != (4, 4):
-        raise ValueError("expected a two-qubit density matrix")
-    w = numkit.eigh(rho_ab)[0]
-    if w.min() < -1e-9 or abs(w.sum() - 1) > 1e-9:
-        raise ValueError("input is not a density matrix")
+    rho_ab = numkit.require_density(rho_ab, 4)[0]
     if side not in ("a", "b"):
         raise ValueError("side must be 'a' or 'b'")
-    measured_first = side == "b"
-    remote = numkit.partial_trace(rho_ab, 2, 2, 1 if measured_first else 2)
-    s_remote = von_neumann_entropy(remote)
-
-    def proj_value(direction):
-        p_plus = _bloch_rho(direction)
-        return _correlation_value(rho_ab, [p_plus, np.eye(2) - p_plus],
-                                  measured_first, s_remote)
-
-    best = 0.0
-    dirs = _fibonacci_sphere(400)
-    vals = [proj_value(d) for d in dirs]
-    best_idx = int(np.argmax(vals))
-    best = max(best, vals[best_idx])
-    d0 = dirs[best_idx]
-    th0, ph0 = np.arccos(np.clip(d0[2], -1, 1)), np.arctan2(d0[1], d0[0])
-    res = scipy.optimize.minimize(
-        lambda a: -proj_value(np.array([np.sin(a[0]) * np.cos(a[1]),
-                                        np.sin(a[0]) * np.sin(a[1]),
-                                        np.cos(a[0])])),
-        np.array([th0, ph0]), method="Nelder-Mead",
-        options={"xatol": 1e-10, "fatol": 1e-12})
-    best = max(best, -res.fun)
-
-    rng = np.random.default_rng(seed)
-    for outcomes in (3, 4):
-        for _ in range(120):
-            vecs = rng.normal(size=(outcomes, 2)) \
-                + 1j * rng.normal(size=(outcomes, 2))
-            g = sum(np.outer(v, v.conj()) for v in vecs)
-            gw, gv = np.linalg.eigh(g)
-            if gw.min() < 1e-9:
-                continue
-            gis = gv @ np.diag(gw ** -0.5) @ gv.conj().T
-            els = [np.outer(gis @ v, (gis @ v).conj()) for v in vecs]
-            els = Povm(els).elements
-            best = max(best, _correlation_value(rho_ab, els,
-                                                measured_first, s_remote))
-    return float(max(best, 0.0))
+    value, bound, _ = _correlation_primal_dual(rho_ab, side)
+    if bound - value > 1e-8:
+        raise RuntimeError("classical correlations not certified: POVM "
+                           "%.12f, dual bound %.12f" % (value, bound))
+    return max(0.0, float(value))
 
 
 # --- one-sided fidelity optimization -------------------------------------------
@@ -640,12 +809,7 @@ def fidelity_optimize_one_side(rho_ab):
     most two, and a dual bound certifies it to within 1e-8. Raises
     RuntimeError if the bound is further away.
     """
-    rho_ab = numkit.require_hermitian(np.asarray(rho_ab, dtype=complex))
-    if rho_ab.shape != (4, 4):
-        raise ValueError("expected a two-qubit density matrix")
-    w = numkit.eigh(rho_ab)[0]
-    if w.min() < -1e-9 or abs(w.sum() - 1) > 1e-9:
-        raise ValueError("input is not a density matrix")
+    rho_ab = numkit.require_density(rho_ab, 4)[0]
     val, bound, ch = _fidelity_primal_dual(_fidelity_weight_matrix(rho_ab))
     if bound - val > 1e-8:
         raise RuntimeError("fidelity optimum not certified: primal %.12f, "

@@ -306,7 +306,7 @@ def _run_analysis(name, ch, seed, tol):
                         bool(qubit.is_entanglement_breaking(ch, tol=tol)),
                     "can_distribute":
                         bool(qubit.can_distribute_entanglement(ch)),
-                    "method": "dual-state concurrence + partial transpose"}
+                    "method": "dual-state partial transpose"}
         if name == "normal_forms":
             lu = qubit.lu_normal_form(ch)
             slocc = qubit.slocc_normal_form(ch, seed=seed)

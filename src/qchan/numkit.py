@@ -79,6 +79,21 @@ def require_hermitian(m, tol=HERM_TOL):
     return m
 
 
+def require_density(rho, dim=None):
+    """Validate a density matrix; return it with its eigenvalues.
+
+    rho must be Hermitian (require_hermitian), of shape dim x dim when
+    dim is given, with eigenvalues above -1e-9 summing to 1 within 1e-9.
+    """
+    rho = require_hermitian(rho)
+    if dim is not None and rho.shape[0] != dim:
+        raise ValueError("expected a %dx%d density matrix" % (dim, dim))
+    w = eigh(rho)[0]
+    if w.min() < -1e-9 or abs(w.sum() - 1) > 1e-9:
+        raise ValueError("input is not a density matrix")
+    return rho, w
+
+
 def eigh(m):
     """Eigendecomposition of a Hermitian matrix.
 

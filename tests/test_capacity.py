@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -341,3 +343,92 @@ def test_fidelity_optimize_matches_extremal_search(rho, value):
     """Values of the former 25-start search over the extremal family."""
     f, _ = capacity.fidelity_optimize_one_side(rho)
     assert abs(f - value) <= 1e-8
+
+
+def _remote_entropy_left(rho, elements, side):
+    """S(remote) - sum_i p_i S(remote given outcome i), from eigvalsh."""
+    r4 = rho.reshape(2, 2, 2, 2)
+    val = _entropy_bits(np.einsum("abad->bd", r4) if side == "b"
+                        else np.einsum("abcb->ac", r4))
+    for e in elements:
+        if side == "b":
+            w = np.einsum("ca,abcd->bd", e, r4)
+        else:
+            w = np.einsum("db,abcd->ac", e, r4)
+        p = np.trace(w).real
+        if p > 1e-12:
+            val -= p * _entropy_bits(w / p)
+    return val
+
+
+def _entropy_bits(rho):
+    w = np.linalg.eigvalsh((rho + rho.conj().T) / 2)
+    w = w[w > 1e-15]
+    return float(-(w * np.log2(w)).sum())
+
+
+_BELLS = np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0],
+                   [0, 1, -1, 0]]) / np.sqrt(2)
+
+
+def _locally_rotated(rho, seed):
+    rng = np.random.default_rng(seed)
+    u = np.kron(random_unitary(rng, 2), random_unitary(rng, 2))
+    return u @ rho @ u.conj().T
+
+
+_CORRELATION_STATES = st.one_of(
+    st.builds(lambda seed, rank: random_density(
+        np.random.default_rng(seed), 4, rank), _SEEDS, st.integers(1, 4)),
+    # a rank-1 factor is a pure marginal: p = 1 + a.u reaches 0
+    st.builds(_product_state, _SEEDS, st.integers(1, 2), st.integers(1, 2)),
+    st.just(np.eye(4, dtype=complex) / 4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_CORRELATION_STATES, st.sampled_from("ab"))
+def test_classical_correlations_certified(rho, side):
+    value, bound, povm = capacity._correlation_primal_dual(rho, side)
+    assert 0 <= bound - value <= 1e-8
+    assert np.abs(sum(povm.elements) - np.eye(2)).max() <= 1e-10
+    assert len(povm.elements) <= 4
+    assert abs(_remote_entropy_left(rho, povm.elements, side) - value) <= 1e-9
+    z_basis = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
+    assert value >= _remote_entropy_left(rho, z_basis, side) - 1e-12
+    assert value <= _remote_entropy_left(rho, [], side) + 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(_SEEDS, st.sampled_from("ab"))
+def test_classical_correlations_bell_diagonal_closed_form(seed, side):
+    """Luo: J = 1 - H((1 + max |c_i|) / 2) for Bell-diagonal states, with
+    c_i = Tr(rho sigma_i (x) sigma_i); local unitaries leave J alone."""
+    rng = np.random.default_rng(seed)
+    p = rng.dirichlet(np.full(4, rng.choice([0.2, 1.0, 5.0])))
+    rho = (_BELLS.T * p) @ _BELLS
+    c = [np.trace(rho @ np.kron(s, s)).real
+         for s in (qubit.SX, qubit.SY, qubit.SZ)]
+    want = 1 - capacity.binary_entropy((1 + np.abs(c).max()) / 2)
+    val = capacity.classical_correlations(_locally_rotated(rho, seed), side)
+    assert abs(val - want) <= 1e-9
+
+
+def test_classical_correlations_raises_on_a_wide_gap(monkeypatch):
+    # without Newton steps the clustered grid POVM is far from optimal
+    monkeypatch.setattr(capacity, "_polish_measurement", functools.partial(
+        capacity._polish_measurement, iterations=0))
+    with pytest.raises(RuntimeError, match="not certified"):
+        capacity.classical_correlations(
+            random_density(np.random.default_rng(0), 4, 3))
+
+
+@pytest.mark.parametrize("angle, visibility, value", [
+    # Werner-like: 1 - H(0.85)
+    (np.pi / 4, 0.7, 0.390159695284),
+    (np.pi / 8, 0.7, 0.242264305997)])
+def test_classical_correlations_workload_values(angle, visibility, value):
+    psi = np.array([np.cos(angle), 0, 0, np.sin(angle)])
+    rho = visibility * np.outer(psi, psi) + (1 - visibility) * np.eye(4) / 4
+    rho = _locally_rotated(rho.astype(complex), 11)
+    for side in "ab":
+        assert abs(capacity.classical_correlations(rho, side) - value) <= 1e-9

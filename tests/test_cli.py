@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -85,6 +86,28 @@ def test_analyze_depolarizing_eb(tmp_path, capsys):
     assert code == 0
     report = json.loads(capsys.readouterr().out)
     assert report["results"]["eb"]["entanglement_breaking"] is True
+
+
+def test_analyze_eb_near_threshold(tmp_path, capsys):
+    # the concurrence and the partial transpose sit on opposite sides of
+    # 1e-9 here; the verdict is a result, not a skipped analysis
+    path = write_doc(tmp_path, "dep.json",
+                     {"builder": "depolarizing", "p": 2 / 3 - 1e-9})
+    code = run(["analyze", path, "--eb", "--format", "structured"])
+    assert code == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["results"]["eb"]["entanglement_breaking"] is True
+
+
+def test_analyze_constant_channel_chi_is_positive_zero(tmp_path, capsys):
+    path = write_doc(tmp_path, "ad1.json",
+                     {"builder": "amplitude_damping", "gamma": 1.0})
+    code = run(["analyze", path, "--capacities", "--format", "structured"])
+    assert code == 0
+    out = capsys.readouterr().out
+    chi = json.loads(out)["results"]["capacities"]["holevo_chi"]
+    assert chi["value"] == 0.0 and math.copysign(1.0, chi["value"]) == 1.0
+    assert '"value": -0.0' not in out
 
 
 def test_analyze_gate_failure_not_fatal(tmp_path, capsys):

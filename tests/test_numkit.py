@@ -114,3 +114,20 @@ def test_sqrt_psd():
     assert x.shape[1] == 2  # columns only for the numerical rank
     with pytest.raises(ValueError):
         numkit.sqrt_psd(np.diag([1.0, -0.5]))
+
+
+def test_require_density():
+    rng = np.random.default_rng(9)
+    rho = random_density(rng, 4, rank=3)
+    back, w = numkit.require_density(rho, 4)
+    assert np.array_equal(back, rho)
+    assert np.abs(w - np.linalg.eigvalsh(rho)).max() < 1e-12
+    numkit.require_density(np.diag([1.0, 0.0]))
+    with pytest.raises(ValueError, match="2x2"):
+        numkit.require_density(rho, 2)
+    with pytest.raises(ValueError, match="not a density matrix"):
+        numkit.require_density(np.diag([0.7, 0.7]))
+    with pytest.raises(ValueError, match="not a density matrix"):
+        numkit.require_density(np.diag([1.2, -0.2]))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        numkit.require_density(np.array([[0.5, 0.1], [0.3, 0.5]]))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from qchan import channel, extremal, numkit, qubit
 from conftest import random_density, random_pure, random_tp_channel, \
@@ -359,6 +360,36 @@ def test_entanglement_breaking_depolarizing():
     assert not qubit.is_entanglement_breaking(channel.depolarizing(0.5))
     assert qubit.is_entanglement_breaking(channel.depolarizing(2 / 3))
     assert qubit.is_entanglement_breaking(channel.depolarizing(0.8))
+    # C = 1.5e-9 and min PT eigenvalue -7.5e-10: inside the 1e-9 band
+    assert qubit.is_entanglement_breaking(channel.depolarizing(2 / 3 - 1e-9))
+
+
+def _depolarizing_mixture(seed, rank, p):
+    ch = random_tp_channel(np.random.default_rng(seed), 2, rank)
+    mix = channel.depolarizing(p)
+    return channel.Channel([np.sqrt(0.5) * a
+                            for a in list(ch.kraus) + list(mix.kraus)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(
+    st.builds(lambda seed, rank: random_tp_channel(
+        np.random.default_rng(seed), 2, rank),
+        st.integers(0, 2 ** 32 - 1), st.integers(1, 4)),
+    st.builds(channel.depolarizing, st.floats(0, 1)),
+    st.builds(_depolarizing_mixture, st.integers(0, 2 ** 32 - 1),
+              st.integers(1, 4), st.floats(0, 1))))
+def test_entanglement_breaking_agrees_with_concurrence(ch):
+    """Outside a 1e-6 band around the threshold the partial-transpose
+    verdict is the zero-concurrence verdict, and a breaking channel
+    distributes no entanglement."""
+    ptmin = np.linalg.eigvalsh(numkit.partial_transpose(ch.jam, 2, 2, 1))[0]
+    assume(abs(ptmin) > 1e-6)
+    breaking = qubit.is_entanglement_breaking(ch)
+    assert breaking == (ptmin > 0)
+    assert breaking == (qubit.concurrence(ch.jam) <= 1e-9)
+    if breaking:
+        assert not qubit.can_distribute_entanglement(ch)
 
 
 def test_entanglement_breaking_other_channels():
