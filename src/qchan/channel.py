@@ -343,11 +343,9 @@ def completely_depolarizing(n=2):
 
 def replacer(rho2):
     """Send every input to the fixed state rho2 (times the input trace)."""
-    rho2 = numkit.require_hermitian(rho2)
+    rho2 = numkit.require_density(rho2)[0]
     n = rho2.shape[0]
     w, v = numkit.eigh(rho2)
-    if w.min() < -1e-10 or abs(w.sum() - 1) > 1e-10:
-        raise ValueError("replacer target must be a density matrix")
     ops = []
     for k in range(n):
         if w[k] > 1e-12:

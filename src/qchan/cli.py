@@ -191,8 +191,8 @@ class AnalysisReport:
 
     results maps analysis names to dicts; an analysis whose hypothesis
     the channel fails carries a 'skipped' key with the reason instead of
-    values. Every scalar is reproducible by re-running with the same
-    seed, which is recorded in provenance together with the tolerance.
+    values. Every analysis is deterministic; provenance records the
+    tolerance and the output format.
     """
 
     def __init__(self, summary, results, provenance):
@@ -212,7 +212,7 @@ class AnalysisReport:
                     + (":" + s["source"]["builder"]
                        if s["source"]["form"] == "builder" else ""))]
         p = self.provenance
-        lines.append("settings: seed=%d tol=%g" % (p["seed"], p["tol"]))
+        lines.append("settings: tol=%g" % p["tol"])
         for name, res in self.results.items():
             lines.extend(_result_lines(name, res))
         return lines
@@ -289,7 +289,7 @@ ANALYSES = ("choi", "rank", "extremality", "eb", "normal_forms",
             "fidelity", "capacities")
 
 
-def _run_analysis(name, ch, seed, tol):
+def _run_analysis(name, ch, tol):
     """One named analysis; hypothesis failures become a 'skipped' entry."""
     try:
         if name == "choi":
@@ -309,7 +309,7 @@ def _run_analysis(name, ch, seed, tol):
                     "method": "dual-state partial transpose"}
         if name == "normal_forms":
             lu = qubit.lu_normal_form(ch)
-            slocc = qubit.slocc_normal_form(ch, seed=seed)
+            slocc = qubit.slocc_normal_form(ch)
             out = {"lu": {"lambdas": [float(x) for x in lu.lambdas],
                           "shift": [float(x) for x in lu.shift]},
                    "slocc": {"kind": slocc.kind,
@@ -365,11 +365,10 @@ def cmd_analyze(path, flags):
                "source": source}
     results = {}
     for name in selected:
-        results[name] = _run_analysis(name, ch, flags.seed, flags.tol)
+        results[name] = _run_analysis(name, ch, flags.tol)
     if getattr(flags, "emit_choi", None):
         write_choi_file(flags.emit_choi, ch)
-    provenance = {"seed": flags.seed, "tol": flags.tol,
-                  "format": flags.format}
+    provenance = {"tol": flags.tol, "format": flags.format}
     return AnalysisReport(summary, results, provenance)
 
 
@@ -447,7 +446,6 @@ def build_parser():
                         action="store_true")
     pa.add_argument("--emit-choi", metavar="PATH",
                     help="also write the channel as a choi-format file")
-    pa.add_argument("--seed", type=int, default=0)
     pa.add_argument("--tol", type=float, default=1e-9)
     pa.add_argument("--format", choices=("text", "structured"),
                     default="text")

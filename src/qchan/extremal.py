@@ -52,10 +52,7 @@ def is_extremal_constrained(ch, rho1, tol=1e-8):
     before the rank test.
     """
     _require_tp(ch)
-    rho1 = numkit.require_hermitian(rho1)
-    w = numkit.eigh(rho1)[0]
-    if w.min() < -1e-10 or abs(w.sum() - 1) > 1e-8:
-        raise ValueError("rho1 must be a density matrix")
+    rho1 = numkit.require_density(rho1, ch.dim)[0]
     ks = _minimal_kraus(ch)
     m, n = len(ks), ch.dim
     if m * m > 2 * n * n:

@@ -10,9 +10,10 @@ decompositions of the dual state, entanglement breaking, and the maximal
 entanglement fidelity a channel can transmit.
 """
 
+import itertools
+
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 
 from . import numkit, channel
 
@@ -20,6 +21,7 @@ SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = [np.eye(2, dtype=complex), SX, SY, SZ]
+_PAULI_T = np.array(PAULIS)
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
 # spin flip sigma_y (x) sigma_y; real
 SFLIP = np.kron(SY, SY).real.astype(float)
@@ -54,30 +56,19 @@ class Ptm:
 
 
 def ptm(ch):
-    """Bloch-picture matrix, computed twice and cross-checked.
+    """Bloch-picture matrix r[i, j] = Tr(sigma_i Phi(sigma_j)) / 2.
 
-    Route one reads the channel action on the Pauli basis; route two
-    reads Tr(jam sigma_i (x) sigma_j), flips the sigma_y row (the
-    transpose hiding in the dual state) and transposes. Disagreement
-    beyond 1e-10 signals a convention bug and raises.
+    Read from the channel action on the Pauli basis, summed over the
+    Kraus operators in one contraction.
     """
     _require_qubit_tp(ch)
-    r_act = np.zeros((4, 4))
-    for j in range(4):
-        out = channel.apply(ch, PAULIS[j])
-        for i in range(4):
-            val = 0.5 * np.trace(PAULIS[i] @ out)
-            r_act[i, j] = val.real
-    r_choi = np.zeros((4, 4))
-    for i in range(4):
-        for j in range(4):
-            r_choi[i, j] = np.trace(
-                ch.jam @ numkit.kron(PAULIS[i], PAULIS[j])).real
-    r_choi[2, :] *= -1
-    r_choi = r_choi.T
-    if np.abs(r_act - r_choi).max() > 1e-10:
-        raise RuntimeError("Bloch-picture routes disagree; convention bug")
-    return Ptm(r_act)
+    return Ptm(_pauli_action(np.asarray(ch.kraus)))
+
+
+def _pauli_action(ks):
+    """Pauli-coordinate matrix of rho -> sum_k K_k rho K_k^dag."""
+    return 0.5 * np.einsum('iab,kbc,jcd,kad->ij', _PAULI_T, ks, _PAULI_T,
+                           ks.conj()).real
 
 
 def ellipsoid(ch):
@@ -101,13 +92,19 @@ def ellipsoid(ch):
 
 def lorentz_from_sl2(f):
     """The real 4x4 action of rho -> F rho F^dag on Pauli coordinates."""
-    f = np.asarray(f, dtype=complex)
-    l = np.zeros((4, 4))
-    for i in range(4):
-        for j in range(4):
-            l[i, j] = 0.5 * np.trace(PAULIS[i] @ f @ PAULIS[j]
-                                     @ f.conj().T).real
-    return l
+    return _pauli_action(np.asarray(f, dtype=complex)[None])
+
+
+def _lorentz_jacobian(f):
+    """Derivatives of lorentz_from_sl2(f), shape (4, 4, 8).
+
+    The last axis runs over Re f (row-major), then Im f; the entry
+    0.5 Re Tr(sigma_i f sigma_j f^dag) moves by Re Tr(sigma_i E sigma_j
+    f^dag) along a step E.
+    """
+    g = np.einsum('iak,jld,ad->ijkl', _PAULI_T, _PAULI_T,
+                  f.conj()).reshape(4, 4, 4)
+    return np.concatenate([g.real, -g.imag], axis=2)
 
 
 def sl2_from_lorentz(l, tol=1e-8):
@@ -119,6 +116,15 @@ def sl2_from_lorentz(l, tol=1e-8):
     overall sign stays ambiguous, which conjugation cannot see).
     """
     l = np.asarray(l, dtype=float)
+    f = _sl2_nearest(l)
+    if np.abs(lorentz_from_sl2(f) - l).max() > tol * max(np.abs(l).max(), 1.0):
+        raise ValueError("matrix is not a conjugation action within "
+                         "tolerance")
+    return f
+
+
+def _sl2_nearest(l):
+    """The filter of sl2_from_lorentz, before its reconstruction check."""
     cmat = np.stack([p.reshape(-1) for p in PAULIS], axis=1)
     g = cmat @ l @ np.linalg.inv(cmat)
     h = g.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
@@ -129,11 +135,7 @@ def sl2_from_lorentz(l, tol=1e-8):
     if abs(det) < 1e-12:
         raise ValueError("matrix is not the conjugation action of any "
                          "invertible filter")
-    f = f / np.sqrt(det)
-    if np.abs(lorentz_from_sl2(f) - l).max() > tol * max(np.abs(l).max(), 1.0):
-        raise ValueError("matrix is not a conjugation action within "
-                         "tolerance")
-    return f
+    return f / np.sqrt(det)
 
 
 def so3_from_su2(u):
@@ -150,12 +152,6 @@ def su2_from_so3(o):
     if np.abs(u @ u.conj().T - np.eye(2)).max() > 1e-8:
         raise ValueError("matrix is not a rotation")
     return u
-
-
-def _proj_so3(n):
-    u, _, vt = np.linalg.svd(n)
-    d = np.linalg.det(u @ vt)
-    return u @ np.diag([1.0, 1.0, d]) @ vt
 
 
 # --- LU normal form ---------------------------------------------------------
@@ -290,7 +286,10 @@ class SloccNormalForm:
 
 
 def _eta_complete(cols):
-    """Extend eta-orthonormal spacelike-deficient columns to a full frame."""
+    """Extend eta-orthonormal spacelike-deficient columns to a full frame.
+
+    Returns None when the coordinate axes cannot complete it.
+    """
     basis = list(cols)
     signs = [1.0] + [-1.0] * (len(cols) - 1)
     for cand in np.eye(4):
@@ -304,7 +303,7 @@ def _eta_complete(cols):
             basis.append(u / np.sqrt(-nrm))
             signs.append(-1.0)
     if len(basis) < 4:
-        raise RuntimeError("could not complete the Lorentz frame")
+        return None
     return np.stack(basis, axis=1)
 
 
@@ -312,18 +311,19 @@ def _slocc_generic(r, tol=1e-7):
     """Lorentz singular value decomposition r = L1 diag(sig) L2^T.
 
     Diagonalizes M = eta r^T eta r (eta-symmetric, so eigenvectors of
-    distinct eigenvalues are automatically eta-orthogonal); degenerate
-    groups are eta-orthonormalized through their real Gram matrix. Fails
+    distinct eigenvalues are automatically eta-orthogonal); each group of
+    equal eigenvalues spans the real part of its eigenspace, [Re v, Im v]
+    (eig may return complex vectors inside a degenerate real eigenspace),
+    and is eta-orthonormalized through its real Gram matrix. Fails
     (returns None) whenever the spectrum is complex, a group Gram is
     degenerate (defective M), or the signature is not (+,-,-,-).
     """
     m = ETA @ r.T @ ETA @ r
     w, v = np.linalg.eig(m)
     scale = max(np.abs(w).max(), 1.0)
-    if np.abs(w.imag).max() > 1e-9 * scale or np.abs(v.imag).max() > 1e-7:
+    if np.abs(w.imag).max() > 1e-9 * scale:
         return None
     w = w.real
-    v = v.real
     order = np.argsort(-w)
     w, v = w[order], v[:, order]
     if w.min() < -1e-9 * scale:
@@ -335,6 +335,7 @@ def _slocc_generic(r, tol=1e-7):
         while grp[-1] + 1 < 4 and abs(w[grp[-1] + 1] - w[k]) <= tol * scale:
             grp.append(grp[-1] + 1)
         vg = v[:, grp]
+        vg = np.linalg.svd(np.hstack([vg.real, vg.imag]))[0][:, :len(grp)]
         gram = vg.T @ ETA @ vg
         gw, gp = np.linalg.eigh(gram)
         if np.abs(gw).min() < 1e-9:
@@ -372,6 +373,8 @@ def _slocc_generic(r, tol=1e-7):
             sig[i] = 0.0
     l1 = _eta_complete(l1_cols) if len(l1_cols) < 4 else \
         np.stack(l1_cols, axis=1)
+    if l1 is None:
+        return None
     l2 = ETA @ kmat @ ETA
     if np.linalg.det(l1) < 0:
         l1[:, 3] *= -1
@@ -395,82 +398,171 @@ def _slocc_generic(r, tol=1e-7):
     return form
 
 
-def _nongeneric_template(x):
-    r = np.diag([1.0, x / np.sqrt(3), x / np.sqrt(3), 1.0 / 3.0])
-    r[3, 0] = 2.0 / 3.0
-    return r
+def _slocc_nongeneric(r):
+    """Build r = scale L(B) T(x) L(A) from the Jordan structure of r.
 
-
-def _slocc_nongeneric(r, seed):
-    """Fit r ~ L(B) T(x) L(A) by seeded least squares.
-
-    The eigenvalues of eta r^T eta r come in two pairs {c^2/3, c^2 x^2/3}
-    (the first defective), which seeds x and the overall scale; the
-    filters start near scaled identities plus random perturbations.
+    For the template T(x), S = r^T eta r equals mu eta + (2 scale^2/9)
+    m m^T + (mu - nu) P with mu = scale^2/3, nu = mu x^2, the null vector
+    m = L(A)^T (e0 - e3) and P = p1 p1^T + p2 p2^T, p_i = L(A)^T e_i. So
+    M = eta S has the defective eigenvalue mu and the semisimple double
+    eigenvalue nu, whose eigenspace is eta span(p1, p2). nu is the mean of
+    the eigenvalue pair that leaves S - nu eta of rank two and mu the mean
+    of the other pair (a defective eigenvalue alone is only good to
+    sqrt(eps)). S - mu eta is rank one at x = 1, and the symmetric test
+    of that is sharper than the eigenvalues: x = 1 is tried first when
+    the rank ratio is below 1e-7, second up to 1e-5. The first frame
+    that rebuilds r to 1e-6 wins; if none does (1 - x near 1e-7, where
+    both tests blur, or filters so ill conditioned that rounding in the
+    frame alone exceeds 1e-6), Gauss-Newton steps refine the frames in
+    the same order. Returns the form or None.
     """
-    m = ETA @ r.T @ ETA @ r
-    w = np.linalg.eigvals(m)
-    wr = np.sort(np.abs(w))
-    lo, hi = np.sqrt(wr[:2].prod()), np.sqrt(wr[2:].prod())
-    guesses = []
-    if hi > 1e-12:
-        guesses.append((min(1.0, np.sqrt(lo / hi)), np.sqrt(3 * hi)))
-        if lo > 1e-12:
-            guesses.append((min(1.0, np.sqrt(hi / lo)), np.sqrt(3 * lo)))
-    guesses.append((1.0, 1.0))
-    guesses.append((0.5, 1.0))
-
-    def unpack(p):
-        a = (p[0:4] + 1j * p[4:8]).reshape(2, 2)
-        b = (p[8:12] + 1j * p[12:16]).reshape(2, 2)
-        return a, b, p[16]
-
-    def resid(p):
-        a, b, x = unpack(p)
-        fit = lorentz_from_sl2(b) @ _nongeneric_template(x) \
-            @ lorentz_from_sl2(a)
-        return (fit - r).ravel()
-
-    rng = np.random.default_rng(seed)
-    eye = np.eye(2).reshape(-1)
-    starts = []
-    for x0, c0 in guesses:
-        k = c0 ** 0.25
-        base = np.concatenate([k * eye, np.zeros(4), k * eye, np.zeros(4),
-                               [x0]])
-        starts.append(base)
-        for _ in range(3):
-            pert = 0.2 * rng.normal(size=17)
-            pert[16] = 0
-            starts.append(base + pert)
-    lower = np.full(17, -np.inf)
-    upper = np.full(17, np.inf)
-    lower[16], upper[16] = 0.0, 1.0
-    for p0 in starts:
-        sol = scipy.optimize.least_squares(resid, p0, bounds=(lower, upper),
-                                           xtol=1e-14, ftol=1e-14, gtol=1e-14)
-        if np.abs(sol.fun).max() > 1e-6:
-            continue
-        a, b, x = unpack(sol.x)
-        da, db = np.linalg.det(a), np.linalg.det(b)
-        if abs(da) < 1e-6 or abs(db) < 1e-6:
-            continue
-        scale = abs(da) * abs(db)
-        form = SloccNormalForm("NonGeneric", a / np.sqrt(da), b / np.sqrt(db),
-                               float(scale), x=float(x))
+    s = r.T @ ETA @ r
+    w = np.linalg.eigvals(ETA @ s)
+    half = w.real.mean()
+    # rounding splits the defective mu by up to sqrt(eps), or not at all,
+    # so neither order nor closeness pairs the eigenvalues; but S - nu eta
+    # has rank two and S - mu eta rank three
+    nu = min(((w[i] + w[j]).real / 2
+              for i, j in itertools.combinations(range(4), 2)),
+             key=lambda lam: np.sort(np.abs(
+                 np.linalg.eigvalsh(s - lam * ETA)))[1])
+    mu = 2 * half - nu
+    # at x = 1, S - mu eta is rank one; its symmetric spectrum tells that
+    # apart to rounding, where the eigenvalues of M only reach sqrt(eps)
+    kw = np.linalg.eigvalsh(s - half * ETA)
+    if mu <= 1e-12 or kw[3] <= 0:
+        return None
+    ratio = np.abs(kw[:3]).max() / kw[3]
+    cands = [(half, True), (mu, False)][:1 if nu >= mu else 2]
+    if ratio > 1e-7:
+        cands = cands[::-1][:1 if ratio > 1e-5 else 2]
+    forms = [f for f in (_nongeneric_frame(r, s, *c) for c in cands)
+             if f is not None]
+    for form in forms:
         if np.abs(form.reconstructed_r() - r).max() <= 1e-6:
+            return form
+    for form in forms:
+        form = _refine_nongeneric(r, form)
+        if form is not None:
             return form
     return None
 
 
-def slocc_normal_form(ch, seed=0):
+def _nongeneric_frame(r, s, mu, unit_x):
+    """The non-generic form of r for mu = scale^2/3, at x = 1 if unit_x.
+
+    S - mu eta = Y Y^T with Y = [c m, d p1, d p2], c^2 = 2 scale^2/9 and
+    d^2 = mu - nu, and Y^T eta Y = diag(0, -d^2, -d^2) separates m from
+    the p's and gives x. At x = 1 (d = 0) m is the top eigenvector and any
+    p's eta-orthogonal to it serve. With the null partner q of m (m^T eta
+    q = 2, q eta-orthogonal to the p's) the frame is L(A)^T = [(q+m)/2,
+    p1, p2, (q-m)/2], and L(B) follows from r L(A)^-1 = scale L(B) T(x),
+    or from an eta-completion when x is too small to invert. Returns the
+    unchecked form, or None.
+    """
+    scale = np.sqrt(3 * mu)
+    kw, kv = np.linalg.eigh(s - mu * ETA)
+    x = 1.0
+    if unit_x:
+        m = kv[:, -1] * np.sqrt(max(kw[-1], 0.0) * 4.5) / scale
+        p = None
+    else:
+        y = kv[:, 1:] * np.sqrt(np.clip(kw[1:], 0.0, None))
+        gw, gv = np.linalg.eigh(y.T @ ETA @ y)
+        if gw[1] >= 0:
+            return None
+        p = y @ gv[:, :2] / np.sqrt(-gw[:2])
+        m = y @ gv[:, 2] * np.sqrt(4.5) / scale
+        x = float(np.sqrt(np.clip(1 + gw[:2].mean() / mu, 0.0, 1.0)))
+    if m[0] < 0:
+        m = -m
+    if m[0] < 1e-12:
+        return None
+    if p is None:
+        p = _eta_complete([np.eye(4)[0],
+                           np.concatenate([[0.0], m[1:] / m[0]])])[:, 2:]
+    # q = alpha k + beta m, with k the part of e0 eta-orthogonal to the p's
+    k = np.eye(4)[0] + p @ (p.T @ ETA[:, 0])
+    alpha = 2.0 / (m @ ETA @ k)
+    q = alpha * k - (alpha * (k @ ETA @ k) / (2 * (k @ ETA @ m))) * m
+    fa = np.stack([(q + m) / 2, p[:, 0], p[:, 1], (q - m) / 2], axis=1)
+    if np.linalg.det(fa) < 0:
+        fa[:, 2] *= -1
+    rl = r @ ETA @ fa @ ETA / scale
+    b3 = 3 * rl[:, 3]
+    b0 = rl[:, 0] - 2 * rl[:, 3]
+    if x >= 1e-6:
+        fb = np.stack([b0, rl[:, 1], rl[:, 2], b3], axis=1)
+        fb[:, 1:3] *= np.sqrt(3) / x
+    else:
+        # T(x) all but erases e1 and e2; any completion serves
+        fb = _eta_complete([b0, b3])
+        if fb is None:
+            return None
+        fb = fb[:, [0, 2, 3, 1]]
+        if np.linalg.det(fb) < 0:
+            fb[:, 2] *= -1
+    try:
+        return SloccNormalForm("NonGeneric", _sl2_nearest(fa.T),
+                               _sl2_nearest(fb), float(scale), x=x)
+    except ValueError:
+        return None
+
+
+def _refine_nongeneric(r, form):
+    """Gauss-Newton steps on r - L(b) T(x) L(a), from the given form.
+
+    The filters carry the scale (each times scale^(1/4)) and x stays in
+    [0, 1]; the Jacobian is analytic and the steps are minimum-norm
+    least-squares solutions, since the template's symmetries leave it
+    rank deficient. Steps stop when the residual stops falling. Returns
+    the normalized form, or None if the result misses the 1e-6
+    reconstruction check.
+    """
+    k = form.scale ** 0.25
+    fit = SloccNormalForm("NonGeneric", k * form.a, k * form.b, 1.0,
+                          x=form.x)
+    dt = np.diag([0.0, 1.0, 1.0, 0.0]) / np.sqrt(3)
+    res = fit.reconstructed_r() - r
+    for _ in range(50):
+        la, lb = lorentz_from_sl2(fit.a), lorentz_from_sl2(fit.b)
+        t = fit.template_r()
+        jac = np.concatenate(
+            [np.einsum('ij,jkp->ikp', lb @ t, _lorentz_jacobian(fit.a)),
+             np.einsum('ijp,jk->ikp', _lorentz_jacobian(fit.b), t @ la),
+             (lb @ dt @ la)[:, :, None]], axis=2).reshape(16, 17)
+        step = np.linalg.lstsq(jac, res.ravel(), rcond=None)[0]
+        trial = SloccNormalForm(
+            "NonGeneric", fit.a - (step[0:4] + 1j * step[4:8]).reshape(2, 2),
+            fit.b - (step[8:12] + 1j * step[12:16]).reshape(2, 2), 1.0,
+            x=float(np.clip(fit.x - step[16], 0.0, 1.0)))
+        trial_res = trial.reconstructed_r() - r
+        if np.linalg.norm(trial_res) >= np.linalg.norm(res):
+            break
+        fit, res = trial, trial_res
+    da, db = np.linalg.det(fit.a), np.linalg.det(fit.b)
+    if abs(da) < 1e-6 or abs(db) < 1e-6:
+        return None
+    form = SloccNormalForm("NonGeneric", fit.a / np.sqrt(da),
+                           fit.b / np.sqrt(db), float(abs(da) * abs(db)),
+                           x=fit.x)
+    if np.abs(form.reconstructed_r() - r).max() <= 1e-6:
+        return form
+    return None
+
+
+def slocc_normal_form(ch):
     """Classify a qubit channel under invertible filterings.
 
     Point is checked first (zero distortion, pure fixed output); then the
-    Lorentz diagonalization (generic family); then the least-squares fit
-    of the sphere-touching template. A channel fitting none of the three
-    raises, since every qubit channel should land somewhere and a miss
-    means the input deserves a look.
+    Lorentz diagonalization (generic family); then the sphere-touching
+    template, built from the Jordan structure of r^T eta r. Each answer is
+    constructed, with no seed and no search (a non-generic frame that
+    rounding blurs is refined by Gauss-Newton steps from where it
+    stands), then verified by rebuilding r to 1e-6. A channel fitting
+    none of the three raises, since every qubit
+    channel should land somewhere and a miss means the input deserves a
+    look.
     """
     _require_qubit_tp(ch)
     p = ptm(ch)
@@ -490,7 +582,7 @@ def slocc_normal_form(ch, seed=0):
     form = _slocc_generic(r)
     if form is not None:
         return form
-    form = _slocc_nongeneric(r, seed)
+    form = _slocc_nongeneric(r)
     if form is not None:
         return form
     raise RuntimeError("channel fits no filtering normal form within "
@@ -542,16 +634,6 @@ def canonical_extremal(alpha, beta):
     return channel.Channel([a1, a2], require_tp=True)
 
 
-def _random_rotation(rng):
-    q = rng.normal(size=4)
-    q /= np.linalg.norm(q)
-    w, x, y, z = q
-    return np.array([
-        [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
-        [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
-        [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)]])
-
-
 def _rotation_between(a, b):
     """Minimal proper rotation sending unit vector a to unit vector b."""
     c = float(a @ b)
@@ -569,97 +651,73 @@ def _rotation_between(a, b):
     return np.eye(3) + vx + vx @ vx * ((1 - c) / (s * s))
 
 
-def _axis_rotation(axis, phi):
-    axis = axis / np.linalg.norm(axis)
-    kx = np.array([[0, -axis[2], axis[1]], [axis[2], 0, -axis[0]],
-                   [-axis[1], axis[0], 0]])
-    return np.eye(3) + np.sin(phi) * kx + (1 - np.cos(phi)) * (kx @ kx)
+def _block_maps(a, b):
+    """Orthogonal maps D with D a = b, one per determinant where one exists.
+
+    When a vanishes every orthogonal map qualifies, and the identity and
+    a reflection stand for both determinants.
+    """
+    n = a.size
+    na, nb = np.linalg.norm(a), np.linalg.norm(b)
+    if na <= 1e-9:
+        flip = np.eye(n)
+        flip[-1, -1] = -1.0
+        return [np.eye(n), flip]
+    if abs(na - nb) > 1e-8:
+        return []
+    if n == 1:
+        return [np.eye(1) if a[0] * b[0] > 0 else -np.eye(1)]
+    ua, ub = a / na, b / nb
+    if n == 2:
+        c, sn = ua @ ub, ua[0] * ub[1] - ua[1] * ub[0]
+        rot = np.array([[c, -sn], [sn, c]])
+        perp = np.array([-ua[1], ua[0]])
+    else:
+        rot = _rotation_between(ua, ub)
+        perp = np.cross(ua, np.eye(3)[int(np.argmin(np.abs(ua)))])
+        perp /= np.linalg.norm(perp)
+    # the reflection through the plane normal to perp fixes ua
+    return [rot, rot @ (np.eye(n) - 2 * np.outer(perp, perp))]
 
 
 def _align_rotations(lam_c, t_c, lam_h, t_h):
     """Rotations with o_out lam_c o_in = lam_h and o_out t_c = t_h.
 
-    The translation constraint pins o_out up to a rotation about the
-    aligned axis; the leftover angle is a one-dimensional search, with
-    the inner rotation solved in closed form (orthogonal Procrustes) at
-    every angle. Returns (o_out, o_in) or None.
+    With lam_c = U_c S V_c^T and lam_h = U_h S V_h^T, every solution is
+    o_out = U_h D U_c^T and o_in = V_c D'^T V_h^T for an orthogonal D,
+    block diagonal over groups of equal singular values, and D' = D up to
+    a sign on a zero singular value. The translation leaves each block
+    the rotation or the reflection that sends (U_c^T t_c)_G to
+    (U_h^T t_h)_G, or both determinants when that part vanishes. The
+    first proper pair that passes both checks is returned, else None.
     """
-    nc, nh = np.linalg.norm(t_c), np.linalg.norm(t_h)
-    if abs(nc - nh) > 1e-8:
+    uc, sc, vct = np.linalg.svd(lam_c)
+    uh, sh, vht = np.linalg.svd(lam_h)
+    if np.abs(sc - sh).max() > 1e-8:
         return None
-
-    if nc < 1e-10:
-        # no translation: plain alternating Procrustes from a few starts
-        for o_in in [np.eye(3), np.diag([1.0, -1.0, -1.0]),
-                     np.diag([-1.0, 1.0, -1.0]), np.diag([-1.0, -1.0, 1.0])]:
-            for _ in range(100):
-                o_out = _proj_so3(lam_h @ (lam_c @ o_in).T)
-                o_in = _proj_so3((o_out @ lam_c).T @ lam_h)
-            if np.abs(o_out @ lam_c @ o_in - lam_h).max() < 1e-11:
-                return o_out, o_in
-        return None
-
-    def check(o_out):
-        n = (o_out @ lam_c).T @ lam_h
-        u_, _, vt_ = np.linalg.svd(n)
-        for d3 in (1.0, -1.0):
-            o_in = u_ @ np.diag([1.0, 1.0, d3]) @ vt_
+    groups = []
+    for k in range(3):
+        if groups and sh[groups[-1][-1]] - sh[k] <= 1e-8:
+            groups[-1].append(k)
+        else:
+            groups.append([k])
+    a, b = uc.T @ t_c, uh.T @ t_h
+    flips = [np.ones(3)]
+    if sh[2] <= 1e-12:
+        flips.append(np.array([1.0, 1.0, -1.0]))
+    for blocks in itertools.product(*[_block_maps(a[g], b[g])
+                                      for g in groups]):
+        d = scipy.linalg.block_diag(*blocks)
+        o_out = uh @ d @ uc.T
+        if np.linalg.det(o_out) < 0:
+            continue
+        for f in flips:
+            o_in = vct.T @ (f[:, None] * d).T @ vht
             if np.linalg.det(o_in) < 0:
                 continue
-            if np.abs(o_out @ lam_c @ o_in - lam_h).max() < 1e-11:
-                return o_in
-        return None
-
-    sh = lam_h @ lam_h.T
-    dc = np.einsum('ij,ij->i', lam_c, lam_c)
-    wh, eh = np.linalg.eigh(sh)
-    order = np.argsort(dc)
-    if np.abs(dc[order] - wh).max() > 1e-6:
-        return None
-    gaps = np.diff(dc[order])
-    if gaps.min() > 1e-7:
-        # distinct spectra: o_out maps eigenvectors to eigenvectors, so
-        # only the eight sign choices remain
-        ec = np.eye(3)[:, order]
-        for signs in ([1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1],
-                      [-1, -1, -1], [-1, 1, 1], [1, -1, 1], [1, 1, -1]):
-            o_out = eh @ np.diag(np.asarray(signs, dtype=float)) @ ec.T
-            if abs(np.linalg.det(o_out) - 1) > 1e-6:
-                continue
-            if np.abs(o_out @ t_c - t_h).max() > 1e-8:
-                continue
-            o_in = check(o_out)
-            if o_in is not None:
+            if (np.abs(o_out @ lam_c @ o_in - lam_h).max() < 1e-11
+                    and np.abs(o_out @ t_c - t_h).max() < 1e-8):
                 return o_out, o_in
-        return None
-
-    # degenerate spectra leave a continuum of solutions; the leftover
-    # angle about the aligned translation axis is a wide valley that a
-    # grid plus local polishing finds reliably
-    base = _rotation_between(t_c / nc, t_h / nh)
-    axis = t_h / nh
-
-    def residual(phi):
-        o_out = _axis_rotation(axis, phi) @ base
-        o_in = _proj_so3((o_out @ lam_c).T @ lam_h)
-        err = np.abs(o_out @ lam_c @ o_in - lam_h).max()
-        return err, o_out, o_in
-
-    m = 1440
-    grid = np.linspace(0, 2 * np.pi, m, endpoint=False)
-    vals = np.array([residual(phi)[0] for phi in grid])
-    width = grid[1] - grid[0]
-    local = [i for i in range(m)
-             if vals[i] <= vals[i - 1] and vals[i] <= vals[(i + 1) % m]]
-    local.sort(key=lambda i: vals[i])
-    for idx in local[:24]:
-        res = scipy.optimize.minimize_scalar(
-            lambda phi: residual(phi)[0],
-            bounds=(grid[idx] - width, grid[idx] + width), method="bounded",
-            options={"xatol": 1e-15})
-        err, o_out, o_in = residual(res.x)
-        if err < 1e-11:
-            return o_out, o_in
     return None
 
 
@@ -669,8 +727,9 @@ def extremal_form_of(ch):
     The distortion singular values of the canonical family are
     {|cos a|, |cos b|, |cos a cos b|}, so the angle candidates come from
     the two largest singular values with free signs; each candidate is
-    aligned to the channel by rotation fitting and accepted only if the
-    rebuilt Choi matrix matches to 1e-9.
+    aligned to the channel by rotations built from the SVD frames of both
+    distortions (_align_rotations) and accepted only if the rebuilt Choi
+    matrix matches to 1e-9.
     """
     from . import extremal as extremal_mod
     _require_qubit_tp(ch)
@@ -730,10 +789,18 @@ def concurrence(rho):
     """
     rho = numkit.require_density(rho, 4)[0]
     x = numkit.sqrt_psd(rho, tol=1e-13)
-    sig = numkit.svd(x.T @ SFLIP @ x)[1]
+    return _concurrence_of(numkit.svd(x.T @ SFLIP @ x)[1])
+
+
+def _concurrence_of(sig):
+    """C from the preconcurrence singular values, clipped to [0, 1].
+
+    Rounding leaves C = 1 + O(eps) on maximally entangled dual states,
+    and sqrt(1 - C) downstream needs it inside the range.
+    """
     if sig.size == 0:
         return 0.0
-    return float(max(0.0, 2 * sig[0] - sig.sum()))
+    return float(np.clip(2 * sig[0] - sig.sum(), 0.0, 1.0))
 
 
 def _closing_phases(sig):
@@ -840,7 +907,7 @@ def equal_concurrence_decomposition(rho):
     r = x.shape[1]
     v, sig = numkit.takagi(x.T @ SFLIP @ x)
     xp = x @ v.conj()
-    c = float(max(0.0, 2 * sig[0] - sig.sum())) if sig.size else 0.0
+    c = _concurrence_of(sig)
     if c > 1e-12:
         phases = np.ones(r, dtype=complex)
         phases[1:] = 1j

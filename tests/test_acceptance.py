@@ -308,13 +308,13 @@ def test_criterion_10_normal_forms(capsys):
             == "Point"
 
         seeds = [(0.6, 0.45, 0.2), (0.7, 0.5, 0.3), (0.9, 0.2, 0.15)]
-        for k, seed in enumerate(seeds):
+        for seed in seeds:
             base = _pauli_channel(*seed)
             a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) \
                 + 2 * np.eye(2)
             b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) \
                 + 2 * np.eye(2)
-            form = qubit.slocc_normal_form(_filtered_tp(base, a, b), seed=k)
+            form = qubit.slocc_normal_form(_filtered_tp(base, a, b))
             assert form.kind == "Generic"
             assert np.abs(np.asarray(form.s) - np.asarray(seed)).max() \
                 <= 1e-6

@@ -76,7 +76,7 @@ def test_analyze_amplitude_damping_report(tmp_path, capsys):
     assert abs(report["results"]["fidelity"]["f_max"] - 0.75) < 1e-9
     chi = report["results"]["capacities"]["holevo_chi"]
     assert 0 <= chi["upper_bound"] - chi["value"] <= 1e-8
-    assert report["provenance"]["seed"] == 0
+    assert report["provenance"] == {"tol": 1e-9, "format": "structured"}
 
 
 def test_analyze_depolarizing_eb(tmp_path, capsys):
@@ -151,7 +151,7 @@ def test_analyze_emit_choi_roundtrip(tmp_path, capsys):
 def test_analyze_deterministic_output(tmp_path, capsys):
     path = write_doc(tmp_path, "ad.json",
                      {"builder": "amplitude_damping", "gamma": 0.5})
-    args = ["analyze", path, "--capacities", "--seed", "3",
+    args = ["analyze", path, "--capacities", "--normal-forms",
             "--format", "structured"]
     run(args)
     first = capsys.readouterr().out

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qchan import numkit
+from qchan import capacity, channel, extremal, numkit
 from conftest import random_density, random_unitary
 
 
@@ -131,3 +131,26 @@ def test_require_density():
         numkit.require_density(np.diag([1.2, -0.2]))
     with pytest.raises(ValueError, match="not Hermitian"):
         numkit.require_density(np.array([[0.5, 0.1], [0.3, 0.5]]))
+
+
+@pytest.mark.parametrize("eps, ok", [(5e-10, True), (2e-9, False)])
+def test_density_checks_share_one_tolerance(eps, ok):
+    """Every density input goes through require_density."""
+    rho2 = np.diag([1 + eps, -eps]).astype(complex)
+    rho4 = np.diag([0.5 + eps, 0.5, 0.0, -eps]).astype(complex)
+    checks = [
+        lambda: numkit.require_density(rho2),
+        lambda: channel.replacer(rho2),
+        lambda: extremal.is_extremal_constrained(
+            channel.amplitude_damping(0.5), rho2),
+        lambda: capacity.von_neumann_entropy(rho2),
+        lambda: capacity.Ensemble([(1.0, rho2)]),
+        lambda: capacity.classical_correlations(rho4),
+        lambda: capacity.fidelity_optimize_one_side(rho4),
+    ]
+    for check in checks:
+        if ok:
+            check()
+        else:
+            with pytest.raises(ValueError, match="not a density matrix"):
+                check()

@@ -1,8 +1,11 @@
+import time
+
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import assume, given, settings, strategies as st
 
-from qchan import channel, extremal, numkit, qubit
+from qchan import channel, cli, extremal, numkit, qubit
 from conftest import random_density, random_pure, random_tp_channel, \
     random_unitary
 
@@ -67,6 +70,18 @@ def test_ptm_affine_action():
 def test_ptm_requires_qubit():
     with pytest.raises(ValueError):
         qubit.ptm(channel.identity(3))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4))
+def test_ptm_matches_choi_route(seed, rank):
+    """The action route equals Tr(jam sigma_i (x) sigma_j) with the sigma_y
+    row flipped (the transpose hiding in the dual state), transposed."""
+    ch = random_tp_channel(np.random.default_rng(seed), 2, rank)
+    r_choi = np.array([[np.trace(ch.jam @ np.kron(a, b)).real
+                        for b in qubit.PAULIS] for a in qubit.PAULIS])
+    r_choi[2, :] *= -1
+    assert np.abs(qubit.ptm(ch).r - r_choi.T).max() < 1e-10
 
 
 def test_ellipsoid_examples():
@@ -176,7 +191,120 @@ def test_slocc_amplitude_damping_nongeneric():
     for g in (0.2, 0.5, 0.8):
         form = qubit.slocc_normal_form(channel.amplitude_damping(g))
         assert form.kind == "NonGeneric"
-        assert 0 <= form.x <= 1
+        assert abs(form.x - 1) <= 1e-9
+        assert abs(form.scale - np.sqrt(3 * (1 - g))) <= 1e-9
+
+
+def _template_channel(x):
+    """Bloch matrix T(x), the non-generic template: amplitude damping at
+    2/3, then a phase flip with 1 - 2p = x."""
+    flip = channel.phase_flip((1 - x) / 2)
+    damp = channel.amplitude_damping(2 / 3)
+    return channel.Channel([f @ d for f in flip.kraus for d in damp.kraus])
+
+
+def _random_sl2(rng):
+    g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    return g / np.sqrt(np.linalg.det(g))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.one_of(st.sampled_from([1.0, 1 - 1e-9, 1 - 1e-7, 1 - 1e-5,
+                                  1 - 1e-3]),
+                 st.floats(1e-2, 1.0)),
+       st.integers(0, 2 ** 32 - 1))
+def test_slocc_nongeneric_filter_recovery(x, seed):
+    """Random filters on the template are undone, x included."""
+    rng = np.random.default_rng(seed)
+    a, b = _random_sl2(rng), _random_sl2(rng)
+    # beyond this, filtered_tp's renormalization can miss the 1e-10 trace
+    # check of Channel
+    assume(max(np.linalg.cond(a), np.linalg.cond(b)) < 1e3)
+    ch = filtered_tp(_template_channel(x), a, b)
+    form = qubit.slocc_normal_form(ch)
+    assert form.kind == "NonGeneric"
+    assert abs(form.x - x) <= 1e-6
+    assert np.abs(form.reconstructed_r() - qubit.ptm(ch).r).max() <= 1e-6
+
+
+@pytest.mark.parametrize("seed", [4, 46, 181])
+def test_slocc_nongeneric_near_one(seed):
+    """At 1 - x = 1e-7 the eigenvalue pairs and the rank-one test blur;
+    for the first filters x = 1 rebuilds r only to 3e-4."""
+    rng = np.random.default_rng(seed)
+    ch = filtered_tp(_template_channel(1 - 1e-7), _random_sl2(rng),
+                     _random_sl2(rng))
+    form = qubit.slocc_normal_form(ch)
+    assert abs(form.x - (1 - 1e-7)) <= 1e-9
+    assert np.abs(form.reconstructed_r() - qubit.ptm(ch).r).max() <= 1e-12
+
+
+@pytest.mark.parametrize("x, seed", [(1 - 1e-7, 121), (1 - 1e-7, 232),
+                                     (1 - 3e-7, 6), (1 - 3e-7, 10)])
+def test_slocc_nongeneric_ill_conditioned_filters(x, seed):
+    """Filters of condition number 900 near x = 1: rounding in a frame
+    alone can exceed 1e-6. At 1 - x = 3e-7 the x = 1 frame passes where
+    the frame from the eigenvalue pairs does not; at 1e-7 neither does,
+    and Gauss-Newton steps refine them."""
+    rng = np.random.default_rng(seed)
+    a, b = (random_unitary(rng, 2) @ np.diag([30.0, 1 / 30])
+            @ random_unitary(rng, 2) for _ in range(2))
+    ch = filtered_tp(_template_channel(x), a, b)
+    form = qubit.slocc_normal_form(ch)
+    assert form.kind == "NonGeneric"
+    assert abs(form.x - x) <= 1e-6
+    assert np.abs(form.reconstructed_r() - qubit.ptm(ch).r).max() <= 1e-6
+
+
+def test_slocc_refinement_recovers_a_blurred_frame():
+    """The fallback for frames that rounding blurs: damped Gauss-Newton
+    steps from a perturbed form come back to the exact one."""
+    rng = np.random.default_rng(22)
+    ch = filtered_tp(_template_channel(0.6), _random_sl2(rng),
+                     _random_sl2(rng))
+    r = qubit.ptm(ch).r
+    form = qubit.slocc_normal_form(ch)
+    noise = 1e-3 * (rng.normal(size=(2, 2, 2))
+                    + 1j * rng.normal(size=(2, 2, 2)))
+    blurred = qubit.SloccNormalForm("NonGeneric", form.a + noise[0],
+                                    form.b + noise[1], form.scale,
+                                    x=form.x - 1e-3)
+    assert np.abs(blurred.reconstructed_r() - r).max() > 1e-4
+    fixed = qubit._refine_nongeneric(r, blurred)
+    assert abs(fixed.x - 0.6) <= 1e-9
+    assert np.abs(fixed.reconstructed_r() - r).max() <= 1e-12
+
+
+def test_slocc_unitaries_and_rank_two_are_generic(tmp_path):
+    """Unitaries (M = I, where eig may return complex vectors spanning the
+    degenerate real eigenspace) and rank-2 channels, read back from Kraus
+    and Choi files, land in the generic family."""
+    rng = np.random.default_rng(19)
+    chans = [channel.unitary(random_unitary(rng, 2)) for _ in range(20)]
+    chans += [random_tp_channel(rng, 2, 2) for _ in range(20)]
+    for k, ch in enumerate(chans):
+        for write in (cli.write_kraus_file, cli.write_choi_file):
+            path = str(tmp_path / "channel.json")
+            write(path, ch)
+            loaded = cli.load_channel_file(path)[0]
+            start = time.perf_counter()
+            form = qubit.slocc_normal_form(loaded)
+            assert time.perf_counter() - start < 0.05
+            assert form.kind == "Generic"
+            if k < 20:
+                assert np.abs(np.abs(form.s) - 1).max() < 1e-8
+
+
+def test_normal_forms_run_no_search(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a numerical search ran")
+
+    monkeypatch.setattr(scipy.optimize, "least_squares", refuse)
+    monkeypatch.setattr(scipy.optimize, "minimize_scalar", refuse)
+    ch = channel.amplitude_damping(0.5)
+    assert qubit.slocc_normal_form(ch).kind == "NonGeneric"
+    form = qubit.extremal_form_of(ch)
+    assert np.abs(form.reconstruct().choi - ch.choi).max() < 1e-9
 
 
 def test_slocc_complete_damping_point():
@@ -194,15 +322,15 @@ def test_slocc_filter_recovery():
     """Random filters on a Pauli-diagonal channel are undone."""
     rng = np.random.default_rng(7)
     seeds = [(0.6, 0.45, 0.2), (0.8, 0.3, 0.15)]
-    for k, seed in enumerate(seeds):
+    for seed in seeds:
         base = pauli_channel(*seed)
-        for trial in range(3):
+        for _ in range(3):
             a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
             b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
             a += 2 * np.eye(2)  # keep the filters well conditioned
             b += 2 * np.eye(2)
             ch = filtered_tp(base, a, b)
-            form = qubit.slocc_normal_form(ch, seed=trial)
+            form = qubit.slocc_normal_form(ch)
             assert form.kind == "Generic"
             assert np.abs(np.asarray(form.s) - np.asarray(seed)).max() < 1e-6
 
@@ -252,6 +380,43 @@ def test_extremal_form_of_recovery():
         assert np.abs(form.reconstruct().choi - ch.choi).max() < 1e-9
 
 
+def _rotated_extremal(alpha, beta, tie):
+    beta = {"equal": alpha, "supplement": np.pi - alpha, "free": beta}[tie]
+    return qubit.canonical_extremal(alpha, beta)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.one_of(
+    st.builds(_rotated_extremal, st.floats(0.05, np.pi - 0.05),
+              st.floats(0.05, np.pi - 0.05),
+              st.sampled_from(["equal", "supplement", "free"])),
+    st.builds(channel.amplitude_damping, st.floats(0.01, 0.99))),
+    st.integers(0, 2 ** 32 - 1))
+def test_extremal_form_of_rotated_family(base, seed):
+    """Equal singular values (beta = alpha, beta = pi - alpha, damping)
+    leave a rotation freedom that the translation must pin down."""
+    assume(extremal.is_extremal_tp(base))
+    rng = np.random.default_rng(seed)
+    ch = conjugated(base, random_unitary(rng, 2), random_unitary(rng, 2))
+    form = qubit.extremal_form_of(ch)
+    assert np.abs(form.reconstruct().choi - ch.choi).max() < 1e-9
+
+
+def test_extremal_form_of_zero_singular_values():
+    """cos(alpha) = 0 or cos(beta) = 0 zeroes singular values of the
+    distortion, which frees o_in on them; at alpha = beta = pi/2 the
+    distortion vanishes and the translation alone pins o_out."""
+    rng = np.random.default_rng(21)
+    for alpha, beta, n in ((np.pi / 2, np.pi / 2, 100), (np.pi / 2, 1.0, 20),
+                           (1.0, np.pi / 2, 20), (np.pi / 2, 2.5, 20)):
+        base = qubit.canonical_extremal(alpha, beta)
+        for _ in range(n):
+            ch = conjugated(base, random_unitary(rng, 2),
+                            random_unitary(rng, 2))
+            form = qubit.extremal_form_of(ch)
+            assert np.abs(form.reconstruct().choi - ch.choi).max() < 1e-9
+
+
 def test_extremal_form_of_unitary():
     rng = np.random.default_rng(11)
     u = random_unitary(rng, 2)
@@ -285,6 +450,16 @@ def test_concurrence_pure_states():
         rho = np.outer(psi, psi.conj())
         direct = 2 * abs(psi[0] * psi[3] - psi[1] * psi[2])
         assert abs(qubit.concurrence(rho) - direct) < 1e-10
+
+
+def test_contraction_form_of_unitaries_has_finite_core():
+    """Rounding can put a unitary's concurrence just above 1."""
+    rng = np.random.default_rng(20)
+    for _ in range(50):
+        dec = qubit.kraus_contraction_form(
+            channel.unitary(random_unitary(rng, 2)))
+        assert np.isfinite(dec.contraction).all()
+        assert 0 <= dec.c <= 1
 
 
 def test_equal_concurrence_decomposition():
