@@ -2,7 +2,10 @@
 
 A channel is extremal exactly when the products {A_i^dag A_j} of its
 minimal Kraus operators are linearly independent. Everything else is a
-mixture, and the splitting can be carried out constructively.
+mixture, and the splitting can be carried out constructively: walk
+inside the face of the Choi matrix to an extremal point, subtract as
+much of it as positivity allows, and repeat on what is left. Each round
+lowers the Choi rank, so at most rank(C) parts come out.
 """
 
 import numpy as np
@@ -45,6 +48,13 @@ def main():
     mixed = sum(w * channel.apply(p, rho) for w, p in parts)
     print("  action rebuilt from the parts, error %.2e"
           % np.abs(mixed - channel.apply(channel.depolarizing(0.7), rho)).max())
+
+    # a qutrit replacer has Choi rank 9: at most nine parts
+    rep = channel.replacer(np.diag([0.5, 0.3, 0.2]))
+    parts = extremal.decompose_into_extremals(rep)
+    print("  qutrit replacer diag(.5, .3, .2), Choi rank %d: %d parts of "
+          "ranks %s" % (channel.rank(rep), len(parts),
+                        [channel.rank(p) for _, p in parts]))
 
     print("\nrank-reducing inputs")
     # any TP channel with rank m <= n has a pure input whose image drops

@@ -666,7 +666,8 @@ def _correlation_primal_dual(rho_ab, side):
         if cond - low <= _CORRELATION_TARGET_GAP or \
                 k == _CORRELATION_ROUNDS - 1:
             break
-        points = np.vstack([_GRID, u, u_star])
+        # the antipode makes a projective measurement along u_star feasible
+        points = np.vstack([_GRID, u, u_star, -u_star])
     # allowance for rounding in f (below 2 bits) and in y.u
     low -= 256 * np.finfo(float).eps * (1 + np.linalg.norm(y))
     povm = Povm([2 * ck * _bloch_rho(uk) for ck, uk in zip(c, u)])
@@ -691,9 +692,10 @@ def classical_correlations(rho_ab, side="b"):
     f(u) - y.u, which holds for every POVM because f is concave on the
     Bloch ball; the minimum comes from a grid plus local polish, so the
     bound is exact if that finds the global minimum. While the gap is
-    wide the minimizers join the LP and the polish runs again. The POVM
-    is built as matrices and its value recomputed from them. Raises
-    RuntimeError if the bound is more than 1e-8 above that value.
+    wide the minimizers and their antipodes join the LP and the polish
+    runs again. The POVM is built as matrices and its value recomputed
+    from them. Raises RuntimeError if the bound is more than 1e-8 above
+    that value.
     """
     rho_ab = numkit.require_density(rho_ab, 4)[0]
     if side not in ("a", "b"):

@@ -2,11 +2,12 @@
 
 A TP channel with minimal Kraus list {A_i} is extremal in the convex body
 of channels exactly when the m^2 products {A_i^dag A_j} are linearly
-independent. When they are not, any Hermitian nullspace element Q of the
-constraint sum_jk Q_jk A_k^dag A_j = 0 produces a proper two-term convex
-split whose parts are again TP and of strictly smaller rank; recursing
-yields an all-extremal decomposition. The same nullspace machinery, run on
-the polynomial det(sum_i c_i A_i), yields inputs whose image drops rank.
+independent. A Hermitian Q with sum_jk Q_jk A_k^dag A_j = 0 moves it
+inside the face of its Choi matrix and keeps it TP. Decompositions stay
+in that face: each intermediate channel is a Kraus list B_l =
+sum_i c_il A_i of weight sum ||B_l||^2 / n, so the trace condition holds
+by construction and no weight is divided out. The same nullspace
+machinery, run on det(sum_i c_i A_i), yields rank-reducing inputs.
 """
 
 import numpy as np
@@ -30,18 +31,12 @@ def is_extremal_tp(ch, tol=1e-8):
     """Extremality test for a TP channel.
 
     False straight away if the rank exceeds the dimension; otherwise the
-    stacked vectors vec(A_i^dag A_j) must have full row rank (smallest
-    singular value above tol times the largest).
+    products A_i^dag A_j must be linearly independent: no singular value
+    of Q -> sum_jk Q_jk A_k^dag A_j at or below tol times the largest.
     """
     _require_tp(ch)
     ks = _minimal_kraus(ch)
-    m, n = len(ks), ch.dim
-    if m > n:
-        return False
-    rows = np.array([numkit.mat_to_vec(a.conj().T @ b)
-                     for a in ks for b in ks])
-    s = numkit.svd(rows)[1]
-    return bool(s[-1] > tol * s[0])
+    return len(ks) <= ch.dim and not len(_null_space(ks, tol))
 
 
 def is_extremal_constrained(ch, rho1, tol=1e-8):
@@ -66,21 +61,51 @@ def is_extremal_constrained(ch, rho1, tol=1e-8):
 
 def _herm_basis(m):
     """Orthonormal (Frobenius) basis of m x m Hermitian matrices."""
-    basis = []
-    for i in range(m):
-        e = np.zeros((m, m), dtype=complex)
-        e[i, i] = 1
-        basis.append(e)
-    for i in range(m):
-        for j in range(i + 1, m):
+    basis = [np.diag(e) for e in np.eye(m, dtype=complex)]
+    for i, j in zip(*np.triu_indices(m, 1)):
+        for entry in (1, -1j):
             e = np.zeros((m, m), dtype=complex)
-            e[i, j] = e[j, i] = 1 / np.sqrt(2)
+            e[i, j], e[j, i] = entry / np.sqrt(2), np.conj(entry) / np.sqrt(2)
             basis.append(e)
-            e = np.zeros((m, m), dtype=complex)
-            e[i, j] = -1j / np.sqrt(2)
-            e[j, i] = 1j / np.sqrt(2)
-            basis.append(e)
-    return basis
+    return np.array(basis)
+
+
+def _null_space(ks, tol):
+    """Orthonormal (r, m, m) basis of the Hermitian Q with
+    sum_jk Q_jk A_k^dag A_j = 0, singular values up to tol times the
+    largest counting as zero."""
+    ks = np.asarray(ks)
+    m = len(ks)
+    basis = _herm_basis(m)
+    # row b: the image of basis element b, real and imaginary parts
+    prods = np.einsum("kax,jay->jkxy", ks.conj(), ks).reshape(m * m, -1)
+    out = basis.reshape(m * m, m * m) @ prods
+    u, s = np.linalg.svd(np.concatenate([out.real, out.imag], axis=1))[:2]
+    rank = np.count_nonzero(s > tol * s[0])
+    return np.tensordot(u[:, rank:].T, basis, 1)
+
+
+def _perturbation(ks, tol=1e-8):
+    """The nullspace element of least off-diagonal mass, or None.
+
+    Exactly diagonal ones are solved for from the A_i^dag A_i alone;
+    otherwise the least singular vector of the off-diagonal parts picks
+    Q (a Gram matrix would square the conditioning).
+    """
+    null = _null_space(ks, tol)
+    if not len(null):
+        return None
+    ks = np.asarray(ks)
+    diag = np.einsum("kax,kay->kxy", ks.conj(), ks).reshape(len(ks), -1)
+    u, s = np.linalg.svd(np.concatenate([diag.real, diag.imag], axis=1))[:2]
+    if s[-1] <= 1e-12 * s[0]:
+        return np.diag(u[:, -1]).astype(complex)
+    offd = (null * (1 - np.eye(len(ks)))).reshape(len(null), -1)
+    u = np.linalg.svd(np.concatenate([offd.real, offd.imag], axis=1))[0]
+    q = np.tensordot(u[:, -1], null, 1)
+    q = q / np.linalg.norm(q)
+    # drop float fuzz so that Q is Hermitian to the last bit
+    return (q + q.conj().T) / 2
 
 
 def find_perturbation(ch, tol=1e-8):
@@ -92,42 +117,54 @@ def find_perturbation(ch, tol=1e-8):
     whenever they can; Q is normalized to unit Frobenius norm.
     """
     _require_tp(ch)
-    ks = _minimal_kraus(ch)
-    m, n = len(ks), ch.dim
-    basis = _herm_basis(m)
-    # column b: the Hermitian matrix sum_jk (B_b)_jk A_k^dag A_j, stacked
-    # as real and imaginary parts
-    cols = []
-    for b in basis:
-        out = np.zeros((n, n), dtype=complex)
-        for j in range(m):
-            for k in range(m):
-                if b[j, k] != 0:
-                    out += b[j, k] * (ks[k].conj().T @ ks[j])
-        cols.append(np.concatenate([out.real.ravel(), out.imag.ravel()]))
-    con = np.array(cols).T
-    u, s, v = np.linalg.svd(con)
-    null_mask = s <= tol * max(s[0], 1.0) if s.size else np.array([])
-    null = [v[k] for k in range(len(s)) if null_mask[k]]
-    null += [v[k] for k in range(len(s), m * m)]
-    if not null:
-        return None
-    # canonicalize: minimize off-diagonal Frobenius mass over the nullspace
-    null_mats = []
-    for coeffs in null:
-        q = np.zeros((m, m), dtype=complex)
-        for c, b in zip(coeffs, basis):
-            q += c * b
-        null_mats.append(q)
-    offd = np.array([numkit.mat_to_vec(q - np.diag(np.diag(q)))
-                     for q in null_mats])
-    gram = (offd @ offd.conj().T).real
-    wg, vg = np.linalg.eigh(gram)
-    q = sum(c * mat for c, mat in zip(vg[:, 0], null_mats))
-    q = q / np.linalg.norm(q)
-    # drop float fuzz so exactly-diagonal solutions stay exactly diagonal
-    q = (q + q.conj().T) / 2
-    return q
+    return _perturbation(_minimal_kraus(ch), tol)
+
+
+def _combine(ks, c):
+    """The Kraus list B_l = sum_i c_il A_i."""
+    return np.tensordot(c.T, ks, 1)
+
+
+def _face_step(h):
+    """Coefficients (I - h / lam_max(h))^(1/2) and the step 1 / lam_max(h).
+
+    They take a Kraus list to the boundary of its face. The whole cluster
+    at lam_max drops out, not one rounding-split member of it.
+    """
+    w, z = numkit.eigh(h)
+    x = 1 - w / w[-1]
+    keep = x > 1e-12
+    return z[:, keep] * np.sqrt(x[keep]), 1 / w[-1]
+
+
+def _walk(ks):
+    """Coefficients k such that the Kraus list ks k is extremal.
+
+    Steps along nullspace directions until is_extremal_tp's test finds
+    none. Each goes to the nearer boundary, so no coefficient grows by
+    more than sqrt(2) and the rounding in Q is not amplified.
+    """
+    k = np.eye(len(ks), dtype=complex)
+    while True:
+        q = _perturbation(_combine(ks, k))
+        if q is None:
+            return k
+        w = numkit.eigh(q)[0]
+        k = k @ _face_step(q if w[-1] >= -w[0] else -q)[0]
+
+
+def _tp_channel(ks):
+    """The channel of ks scaled to weight one, made exactly TP by the
+    congruence (sum B^dag B)^(-1/2); a correction above 1e-9 is a failed
+    self-check, not rounding, and raises RuntimeError."""
+    ks = ks * np.sqrt(ks.shape[1]) / np.linalg.norm(ks)
+    s = np.einsum("lax,lay->xy", ks.conj(), ks)
+    dev = np.abs(s - np.eye(len(s))).max()
+    if dev > 1e-9:
+        raise RuntimeError("extremal part is off the trace condition by "
+                           "%.3e" % dev)
+    w, z = numkit.eigh(s)
+    return channel.Channel(list(ks @ (z / np.sqrt(w)) @ z.conj().T))
 
 
 class ExtremalSplit:
@@ -147,58 +184,46 @@ class ExtremalSplit:
 def split_extremal(ch):
     """Split a non-extremal TP channel into two TP channels.
 
-    Raises on extremal input. Both parts have rank at most m-1 because
-    the mixing matrix M is built to have eigenvalues at both 0 and 1.
+    Raises on extremal input. Q moves the channel both ways to the
+    boundary of its face, to I + s_- Q and I - s_+ Q in face
+    coordinates, which mix back with weight s_+ / (s_+ + s_-); both
+    parts have rank at most m-1.
     """
-    q = find_perturbation(ch)
+    _require_tp(ch)
+    ks = np.array(_minimal_kraus(ch))
+    q = _perturbation(ks)
     if q is None:
         raise ValueError("channel is extremal, nothing to split")
-    x = numkit.sqrt_psd(ch.choi_pair.choi)
-    qw = numkit.eigh(q)[0]
-    qmin, qmax = qw[0], qw[-1]
-    # Q is trace-orthogonal to the positive definite Kraus Gram matrix,
-    # so it is indefinite and a in (0, 1) is guaranteed
-    b = 1.0 / (qmax - qmin)
-    a = -qmin * b
-    mmat = a * np.eye(q.shape[0]) + b * q
-    left_choi = x @ mmat @ x.conj().T / a
-    right_choi = x @ (np.eye(q.shape[0]) - mmat) @ x.conj().T / (1 - a)
-    left = channel.Channel(channel.kraus_from_choi(left_choi))
-    right = channel.Channel(channel.kraus_from_choi(right_choi))
-    return ExtremalSplit(float(a), left, right, q)
+    left, s_minus = _face_step(-q)
+    right, s_plus = _face_step(q)
+    return ExtremalSplit(float(s_plus / (s_plus + s_minus)),
+                         _tp_channel(_combine(ks, left)),
+                         _tp_channel(_combine(ks, right)), q)
 
 
-def decompose_into_extremals(ch, max_terms=64):
-    """Recursively split until every part is extremal.
+def decompose_into_extremals(ch):
+    """Write a non-extremal TP channel as a mixture of extremal channels.
 
-    Returns a list of (weight, Channel); weights sum to one and the
-    weighted parts reconstruct the source action. Parts whose Choi
-    matrices coincide are merged. Raises on extremal input and when the
-    recursion would exceed max_terms leaves.
+    A Caratheodory peel: walk from the remainder R to an extremal point
+    E = R k of its face, subtract the largest t E that leaves R - t E
+    positive, t = 1 / lam_max(k k^dag), and repeat on the remainder,
+    whose rank drops each time. Returns at most rank(ch) pairs (weight,
+    Channel), weights positive and summing to one. Raises ValueError on
+    extremal input, RuntimeError when a part is off the trace condition
+    (a walk stepped along products null only within tolerance).
     """
     if is_extremal_tp(ch):
         raise ValueError("channel is already extremal")
-    leaves = []
-    stack = [(1.0, ch)]
-    while stack:
-        w, c = stack.pop()
-        if is_extremal_tp(c):
-            leaves.append((w, c))
-            continue
-        if len(leaves) + len(stack) >= max_terms:
-            raise RuntimeError("decomposition exceeded %d terms" % max_terms)
-        sp = split_extremal(c)
-        stack.append((w * sp.weight, sp.left))
-        stack.append((w * (1 - sp.weight), sp.right))
-    merged = []
-    for w, c in leaves:
-        for k, (wk, ck) in enumerate(merged):
-            if np.abs(c.choi - ck.choi).max() <= 1e-8:
-                merged[k] = (wk + w, ck)
-                break
-        else:
-            merged.append((w, c))
-    return merged
+    ks = np.array(_minimal_kraus(ch))
+    parts = []
+    while len(ks):
+        k = _walk(ks)
+        rest, t = _face_step(k @ k.conj().T)
+        parts.append(np.sqrt(t) * _combine(ks, k))
+        ks = _combine(ks, rest)
+    weights = np.array([np.linalg.norm(p) ** 2 for p in parts])
+    weights /= weights.sum()
+    return [(float(w), _tp_channel(p)) for w, p in zip(weights, parts)]
 
 
 def _singular_combination(ks, rng, retries=32):

@@ -9,6 +9,11 @@ import numpy as np
 import scipy.linalg
 
 HERM_TOL = 1e-12
+PSD_TOL = 1e-9  # eigenvalues of a PSD matrix down to -PSD_TOL are rounding
+
+SX = np.array([[0, 1], [1, 0]], dtype=complex)
+SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
+SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 def kron(a, b):
@@ -22,15 +27,6 @@ def mat_to_vec(a):
     With this convention (X kron Y) @ vec(A) = vec(X A Y^T).
     """
     return np.asarray(a, dtype=complex).reshape(-1)
-
-
-def vec_to_mat(v, rows, cols):
-    """Inverse of mat_to_vec."""
-    v = np.asarray(v, dtype=complex)
-    if v.size != rows * cols:
-        raise ValueError("vector of length %d does not fill a %dx%d matrix"
-                         % (v.size, rows, cols))
-    return v.reshape(rows, cols)
 
 
 def _check_bipartite(m, dim_a, dim_b):
@@ -83,13 +79,13 @@ def require_density(rho, dim=None):
     """Validate a density matrix; return it with its eigenvalues.
 
     rho must be Hermitian (require_hermitian), of shape dim x dim when
-    dim is given, with eigenvalues above -1e-9 summing to 1 within 1e-9.
+    dim is given, with eigenvalues above -PSD_TOL summing to 1 within 1e-9.
     """
     rho = require_hermitian(rho)
     if dim is not None and rho.shape[0] != dim:
         raise ValueError("expected a %dx%d density matrix" % (dim, dim))
     w = eigh(rho)[0]
-    if w.min() < -1e-9 or abs(w.sum() - 1) > 1e-9:
+    if w.min() < -PSD_TOL or abs(w.sum() - 1) > 1e-9:
         raise ValueError("input is not a density matrix")
     return rho, w
 
@@ -156,15 +152,15 @@ def takagi(s, tol=1e-12):
 def sqrt_psd(m, tol=None):
     """Square root factor X of a PSD matrix: m = X X^dag.
 
-    Columns are sqrt(w_i) * v_i for eigenvalues above the rank threshold,
-    so the column count equals the numerical rank. An eigenvalue below
-    -tol raises (input not PSD).
+    Columns are sqrt(w_i) * v_i for eigenvalues above the rank threshold
+    tol, so the column count equals the numerical rank. An eigenvalue
+    below -PSD_TOL (times the largest, floored at 1) raises, whatever tol.
     """
     w, v = eigh(m)
-    top = max(w.max(), 0.0)
+    floor = PSD_TOL * max(w.max(), 1.0)
     if tol is None:
-        tol = 1e-9 * max(top, 1.0)
-    if w.min() < -tol:
+        tol = floor
+    if w.min() < -max(tol, floor):
         raise ValueError("matrix is not positive semidefinite "
                          "(eigenvalue %.3e)" % w.min())
     keep = w > tol

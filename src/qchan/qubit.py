@@ -16,10 +16,8 @@ import numpy as np
 import scipy.linalg
 
 from . import numkit, channel
+from .numkit import SX, SY, SZ
 
-SX = np.array([[0, 1], [1, 0]], dtype=complex)
-SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = [np.eye(2, dtype=complex), SX, SY, SZ]
 _PAULI_T = np.array(PAULIS)
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
@@ -607,12 +605,8 @@ class ExtremalQubitForm:
         self.v = v
 
     def kraus(self):
-        a1 = np.diag([self.s0, self.s1]).astype(complex)
-        a2 = np.array([[0, np.sqrt(max(1 - self.s1 ** 2, 0.0))],
-                       [np.sqrt(max(1 - self.s0 ** 2, 0.0)), 0]],
-                      dtype=complex)
-        vd = self.v.conj().T
-        return [self.u @ a1 @ vd, self.u @ a2 @ vd]
+        return [self.u @ a @ self.v.conj().T
+                for a in _two_angle_kraus(self.s0, self.s1)]
 
     def reconstruct(self):
         return channel.Channel(self.kraus(), require_tp=True)
@@ -628,10 +622,13 @@ def canonical_extremal(alpha, beta):
     """
     s0 = np.sqrt(max((1 - np.cos(alpha + beta)) / 2, 0.0))
     s1 = np.sqrt(max((1 - np.cos(alpha - beta)) / 2, 0.0))
-    a1 = np.diag([s0, s1]).astype(complex)
-    a2 = np.array([[0, np.sqrt(max(1 - s1 ** 2, 0.0))],
-                   [np.sqrt(max(1 - s0 ** 2, 0.0)), 0]], dtype=complex)
-    return channel.Channel([a1, a2], require_tp=True)
+    return channel.Channel(_two_angle_kraus(s0, s1), require_tp=True)
+
+
+def _two_angle_kraus(s0, s1):
+    return [np.diag([s0, s1]).astype(complex),
+            np.array([[0, np.sqrt(max(1 - s1 ** 2, 0.0))],
+                      [np.sqrt(max(1 - s0 ** 2, 0.0)), 0]], dtype=complex)]
 
 
 def _rotation_between(a, b):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qchan import channel, numkit
 from conftest import (random_density, random_pure, random_tp_channel,
@@ -91,6 +92,39 @@ def test_tp_and_unital_marginals():
     assert np.abs(numkit.partial_trace(mix.choi, 2, 2, 1)
                   - np.eye(2)).max() < 1e-10
     assert not channel.is_unital(channel.amplitude_damping(0.5))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 3), st.integers(1, 9),
+       st.floats(0.5, 2.0))
+def test_kraus_sums_match_choi_marginals(seed, n, m, scale):
+    """Tr_out(choi) is the transposed sum A^dag A and Tr_in(choi) the sum
+    A A^dag, for any Kraus list; is_tp and is_unital read the sums."""
+    ch = random_tp_channel(np.random.default_rng(seed), n, min(m, n * n))
+    ks = [np.sqrt(scale) * a for a in ch.kraus]
+    c = channel.Channel(ks).choi
+    tp_sum = sum(a.conj().T @ a for a in ks)
+    unital_sum = sum(a @ a.conj().T for a in ks)
+    assert np.abs(numkit.partial_trace(c, n, n, 2) - tp_sum.T).max() <= 1e-12
+    assert np.abs(numkit.partial_trace(c, n, n, 1)
+                  - unital_sum).max() <= 1e-12
+
+
+def test_tp_verdict_at_the_tolerance_is_one_route():
+    """Unitaries scaled to a TP deviation of atol within rounding: the
+    verdict comes from the Kraus sum alone and matches the Channel flag.
+    Two routes (Kraus sum and Choi marginal) used to disagree here and
+    raise on draws 8, 21, 48, 56, 72 and 84 of this sweep."""
+    rng = np.random.default_rng(0)
+    for _ in range(100):
+        u = random_unitary(rng, 2)
+        ch = channel.Channel([np.sqrt(1 + 1e-10 + rng.uniform(-5e-16, 5e-16))
+                              * u])
+        dev = np.abs(ch.kraus[0].conj().T @ ch.kraus[0] - np.eye(2)).max()
+        assert channel.is_tp(ch) == (dev <= 1e-10) == ch.trace_preserving
+        assert channel.is_unital(ch) == (
+            np.abs(ch.kraus[0] @ ch.kraus[0].conj().T - np.eye(2)).max()
+            <= 1e-10)
 
 
 def test_rank_known_channels():

@@ -182,6 +182,19 @@ def test_decompose_depolarizing(tmp_path, capsys):
     assert np.abs(rebuilt - target).max() < 1e-9
 
 
+@pytest.mark.parametrize("doc", [
+    {"builder": "replacer", "rho2": [[0.5, 0, 0], [0, 0.3, 0], [0, 0, 0.2]]},
+    {"builder": "depolarizing", "p": 0.8474062580174515}])
+def test_decompose_exits_zero(tmp_path, capsys, doc):
+    """The split tree exceeded 64 terms on the first and lost the trace
+    condition on the second."""
+    path = write_doc(tmp_path, "ch.json", doc)
+    assert run(["decompose", path, "--format", "structured"]) == 0
+    comps = json.loads(capsys.readouterr().out)["components"]
+    assert 2 <= len(comps) <= 9
+    assert abs(sum(c["weight"] for c in comps) - 1) < 1e-12
+
+
 def test_decompose_extremal_message(tmp_path, capsys):
     path = write_doc(tmp_path, "ad.json",
                      {"builder": "amplitude_damping", "gamma": 0.5})

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qchan import channel, extremal, numkit
 from conftest import random_density, random_tp_channel, random_unitary
@@ -73,6 +74,11 @@ def test_split_extremal():
     assert channel.rank(sp.right) <= m - 1
     with pytest.raises(ValueError):
         extremal.split_extremal(channel.amplitude_damping(0.3))
+    # both sides keep the trace condition however lopsided the weight
+    sp = extremal.split_extremal(channel.depolarizing(1e-6))
+    assert channel.is_tp(sp.left, atol=1e-12)
+    assert channel.is_tp(sp.right, atol=1e-12)
+    assert extremal.is_extremal_tp(sp.left)
 
 
 @pytest.mark.filterwarnings("error")
@@ -92,6 +98,92 @@ def test_decompose_into_extremals():
         assert np.abs(mix - channel.apply(ch, rho)).max() < 1e-9
     with pytest.raises(ValueError):
         extremal.decompose_into_extremals(channel.identity(2))
+
+
+def _near_unitary(seed, n, log_eps):
+    rng = np.random.default_rng(seed)
+    eps = 10.0 ** log_eps
+    noise = random_tp_channel(rng, n, int(rng.integers(1, n * n + 1)))
+    return channel.Channel([np.sqrt(1 - eps) * random_unitary(rng, n)]
+                           + [np.sqrt(eps) * a for a in noise.kraus])
+
+
+def _unitary_mixture(seed, n, k, equal):
+    rng = np.random.default_rng(seed)
+    w = np.full(k, 1.0 / k) if equal else rng.uniform(0.1, 1.0, k)
+    return channel.Channel([np.sqrt(x / w.sum()) * random_unitary(rng, n)
+                            for x in w])
+
+
+def _replacer(seed, floor):
+    rho = random_density(np.random.default_rng(seed), 3)
+    return channel.replacer((1 - 3 * floor) * rho + floor * np.eye(3))
+
+
+def _check_peel(ch, rebuild_tol):
+    if extremal.is_extremal_tp(ch):
+        with pytest.raises(ValueError, match="already extremal"):
+            extremal.decompose_into_extremals(ch)
+        return
+    parts = extremal.decompose_into_extremals(ch)
+    weights = np.array([w for w, _ in parts])
+    assert len(parts) <= channel.rank(ch)
+    assert weights.min() > 0 and abs(weights.sum() - 1) <= 1e-12
+    for _, part in parts:
+        assert channel.is_tp(part, atol=1e-12)
+        assert extremal.is_extremal_tp(part)
+    rebuilt = sum(w * part.choi for w, part in parts)
+    assert np.abs(rebuilt - ch.choi).max() <= rebuild_tol
+
+
+_SEEDS = st.integers(0, 2 ** 32 - 1)
+_CHANNELS = st.one_of(
+    st.integers(2, 3).flatmap(lambda n: st.builds(
+        lambda seed, m: random_tp_channel(np.random.default_rng(seed), n, m),
+        _SEEDS, st.integers(2, n * n))),
+    st.floats(1e-5, 4 / 3).map(channel.depolarizing),
+    st.builds(_near_unitary, _SEEDS, st.just(2), st.floats(-4, -1)),
+    st.builds(_near_unitary, _SEEDS, st.just(3), st.floats(-2, -1)),
+    st.builds(_unitary_mixture, _SEEDS, st.integers(2, 3), st.integers(2, 4),
+              st.booleans()),
+    st.builds(_replacer, _SEEDS, st.just(0.1)),
+    st.just(channel.replacer(np.diag([0.5, 0.3, 0.2]))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_CHANNELS)
+# the split tree failed these: a part off the trace condition, a part
+# that is not extremal, and 64 or more leaves
+@example(channel.depolarizing(0.8474062580174515))
+@example(channel.depolarizing(0.6493974204659505))
+@example(channel.completely_depolarizing(3))
+@example(random_tp_channel(np.random.default_rng(3), 3, 9))
+def test_decompose_peels_at_most_rank_parts(ch):
+    _check_peel(ch, 1e-10)
+
+
+# A walk can pass a point whose products have a singular value within
+# is_extremal_tp's 1e-8, of order (small/large)^2 for Choi eigenvalues
+# far apart, or of the eigenvector rounding for nearly equal ones; the
+# step the test then demands moves the trace condition by as much
+# (ROADMAP, item 5).
+_NEAR_THRESHOLD = st.one_of(
+    st.builds(_near_unitary, _SEEDS, st.just(2), st.floats(-5, -4)),
+    st.builds(_near_unitary, _SEEDS, st.just(3), st.floats(-5, -2)),
+    st.builds(_replacer, _SEEDS, st.just(0.0)),
+    st.floats(1 - 1e-6, 1 + 1e-6).map(channel.depolarizing))
+
+
+@settings(max_examples=20, deadline=None)
+@given(_NEAR_THRESHOLD)
+@example(channel.depolarizing(10.0 ** 1e-8))
+def test_decompose_near_the_extremality_tolerance(ch):
+    """Either the parts meet every check, with the rebuild as close as the
+    1e-9 trace self-check allows, or that self-check raises."""
+    try:
+        _check_peel(ch, 1e-8)
+    except RuntimeError as exc:
+        assert "off the trace condition" in str(exc)
 
 
 def test_decompose_two_unitary_mixture():

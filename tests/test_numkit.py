@@ -1,21 +1,20 @@
 import numpy as np
 import pytest
 
-from qchan import capacity, channel, extremal, numkit
+from qchan import capacity, channel, extremal, numkit, qubit
 from conftest import random_density, random_unitary
 
 
 def test_vec_is_row_major():
     a = np.array([[1, 2], [3, 4]], dtype=complex)
     assert np.array_equal(numkit.mat_to_vec(a), np.array([1, 2, 3, 4]))
-    assert np.array_equal(numkit.vec_to_mat(np.array([1, 2, 3, 4]), 2, 2), a)
 
 
 def test_vec_roundtrip():
     rng = np.random.default_rng(0)
     for n in (2, 3, 4):
         a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        assert np.abs(numkit.vec_to_mat(numkit.mat_to_vec(a), n, n) - a).max() == 0
+        assert np.abs(numkit.mat_to_vec(a).reshape(n, n) - a).max() == 0
 
 
 def test_kron_matches_numpy():
@@ -147,6 +146,8 @@ def test_density_checks_share_one_tolerance(eps, ok):
         lambda: capacity.Ensemble([(1.0, rho2)]),
         lambda: capacity.classical_correlations(rho4),
         lambda: capacity.fidelity_optimize_one_side(rho4),
+        lambda: qubit.concurrence(rho4),
+        lambda: qubit.equal_concurrence_decomposition(rho4),
     ]
     for check in checks:
         if ok:
