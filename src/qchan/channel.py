@@ -68,11 +68,14 @@ class Channel:
         self.dim = n
         self.kraus = ops
         self.choi_pair = ChoiPair(choi_matrix(ops))
-        dev = _kraus_sum_deviation(ops, adjoint_first=True)
-        self.trace_preserving = dev <= atol
+        # the one trace test, which is_tp reads: largest entry of
+        # sum_i A_i^dag A_i - I
+        ksum = sum(a.conj().T @ a for a in ops)
+        self.tp_deviation = float(np.abs(ksum - np.eye(n)).max())
+        self.trace_preserving = self.tp_deviation <= atol
         if require_tp and not self.trace_preserving:
             raise ValueError("Kraus operators do not preserve the trace "
-                             "(deviation %.3e)" % dev)
+                             "(deviation %.3e)" % self.tp_deviation)
 
     @property
     def choi(self):
@@ -84,6 +87,11 @@ class Channel:
 
     def __call__(self, rho):
         return apply(self, rho)
+
+
+def from_kraus(kraus, require_tp=False):
+    """Build a Channel from a Kraus operator list."""
+    return Channel(kraus, require_tp=require_tp)
 
 
 def choi(ch):
@@ -142,23 +150,16 @@ def apply_via_dual(c, rho):
     return numkit.partial_trace(pt @ numkit.kron(rho, np.eye(n)), n, n, 1)
 
 
-def _kraus_sum_deviation(kraus, adjoint_first):
-    """Largest entry of sum A^dag A - I (adjoint_first) or sum A A^dag - I."""
-    n = kraus[0].shape[0]
-    ksum = sum(a.conj().T @ a if adjoint_first else a @ a.conj().T
-               for a in kraus)
-    return float(np.abs(ksum - np.eye(n)).max())
-
-
 def is_tp(ch, atol=DEFAULT_ATOL):
-    """Trace preservation, sum_i A_i^dag A_i = I within atol, the test of
-    Channel.trace_preserving (the Choi marginal is checked in the tests)."""
-    return _kraus_sum_deviation(ch.kraus, adjoint_first=True) <= atol
+    """Trace preservation, sum_i A_i^dag A_i = I within atol, read from
+    Channel.tp_deviation (the Choi marginal is checked in the tests)."""
+    return ch.tp_deviation <= atol
 
 
 def is_unital(ch, atol=DEFAULT_ATOL):
     """Unitality (identity fixed): sum_i A_i A_i^dag = I within atol."""
-    return _kraus_sum_deviation(ch.kraus, adjoint_first=False) <= atol
+    ksum = sum(a @ a.conj().T for a in ch.kraus)
+    return bool(np.abs(ksum - np.eye(ch.dim)).max() <= atol)
 
 
 def rank(ch, tol=1e-9):

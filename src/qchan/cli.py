@@ -385,8 +385,7 @@ def cmd_decompose(path, flags):
         components.append({
             "weight": float(w),
             "rank": channel.rank(part),
-            "unitary": bool(channel.rank(part) == 1
-                            and part.trace_preserving),
+            "unitary": channel.rank(part) == 1,
             "kraus": [_encode_matrix(a) for a in part.kraus]})
     return {"source": source, "extremal": False, "components": components}
 

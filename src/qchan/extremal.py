@@ -1,42 +1,50 @@
 """Extremality of trace-preserving CP maps and constructive decompositions.
 
-A TP channel with minimal Kraus list {A_i} is extremal in the convex body
-of channels exactly when the m^2 products {A_i^dag A_j} are linearly
-independent. A Hermitian Q with sum_jk Q_jk A_k^dag A_j = 0 moves it
-inside the face of its Choi matrix and keeps it TP. Decompositions stay
-in that face: each intermediate channel is a Kraus list B_l =
-sum_i c_il A_i of weight sum ||B_l||^2 / n, so the trace condition holds
-by construction and no weight is divided out. The same nullspace
-machinery, run on det(sum_i c_i A_i), yields rank-reducing inputs.
+A TP channel with minimal Kraus list {A_i = |A_i| v_i} is extremal in the
+convex body of channels exactly when the m^2 products {v_i^dag v_j} are
+linearly independent. A Hermitian Q with sum_jk Q_jk v_k^dag v_j = 0
+moves it inside the face of its Choi matrix and keeps it TP; there a
+point is an m x k factor F with Kraus operators sum_i F_il v_i. Roots of
+det(sum_i c_i A_i) yield rank-reducing inputs.
 """
+
+import collections
 
 import numpy as np
 import scipy.linalg
 
 from . import numkit, channel
 
+_NULL_TOL = 1e-10  # products of the v_i count as dependent below this
+
 
 def _minimal_kraus(ch):
-    # extremality statements assume a linearly independent Kraus set;
-    # re-derive one from the Choi matrix regardless of how ch was built
+    # extremality statements assume a TP channel and a linearly
+    # independent Kraus set; re-derive one from the Choi matrix
+    # regardless of how ch was built
+    if not channel.is_tp(ch):
+        raise ValueError("channel is not trace-preserving")
     return channel.kraus_from_choi(ch.choi_pair)
 
 
-def _require_tp(ch):
-    if not channel.is_tp(ch):
-        raise ValueError("channel is not trace-preserving")
+def _directions(ch):
+    """The minimal Kraus operators as unit-norm v_i and their norms."""
+    ks = np.array(_minimal_kraus(ch))
+    norms = np.linalg.norm(ks, axis=(1, 2))
+    return ks / norms[:, None, None], norms
 
 
-def is_extremal_tp(ch, tol=1e-8):
+def is_extremal_tp(ch, tol=_NULL_TOL):
     """Extremality test for a TP channel.
 
     False straight away if the rank exceeds the dimension; otherwise the
-    products A_i^dag A_j must be linearly independent: no singular value
-    of Q -> sum_jk Q_jk A_k^dag A_j at or below tol times the largest.
+    products v_i^dag v_j must be linearly independent: no singular value
+    of Q -> sum_jk Q_jk v_k^dag v_j at or below tol times the largest.
+    Unit-norm v_i make the verdict depend on the range of the Choi
+    matrix alone, as extremality does, not on its small eigenvalues.
     """
-    _require_tp(ch)
-    ks = _minimal_kraus(ch)
-    return len(ks) <= ch.dim and not len(_null_space(ks, tol))
+    v = _directions(ch)[0]
+    return len(v) <= ch.dim and _perturbation(v, tol) is None
 
 
 def is_extremal_constrained(ch, rho1, tol=1e-8):
@@ -46,9 +54,8 @@ def is_extremal_constrained(ch, rho1, tol=1e-8):
     doubles the ambient dimension, so m <= floor(sqrt(2 n^2)) is applied
     before the rank test.
     """
-    _require_tp(ch)
-    rho1 = numkit.require_density(rho1, ch.dim)[0]
     ks = _minimal_kraus(ch)
+    rho1 = numkit.require_density(rho1, ch.dim)[0]
     m, n = len(ks), ch.dim
     if m * m > 2 * n * n:
         return False
@@ -61,105 +68,100 @@ def is_extremal_constrained(ch, rho1, tol=1e-8):
 
 def _herm_basis(m):
     """Orthonormal (Frobenius) basis of m x m Hermitian matrices."""
-    basis = [np.diag(e) for e in np.eye(m, dtype=complex)]
-    for i, j in zip(*np.triu_indices(m, 1)):
-        for entry in (1, -1j):
+    basis = []
+    for i in range(m):
+        e = np.zeros((m, m), dtype=complex)
+        e[i, i] = 1
+        basis.append(e)
+    for i in range(m):
+        for j in range(i + 1, m):
             e = np.zeros((m, m), dtype=complex)
-            e[i, j], e[j, i] = entry / np.sqrt(2), np.conj(entry) / np.sqrt(2)
+            e[i, j] = e[j, i] = 1 / np.sqrt(2)
             basis.append(e)
-    return np.array(basis)
+            e = np.zeros((m, m), dtype=complex)
+            e[i, j] = -1j / np.sqrt(2)
+            e[j, i] = 1j / np.sqrt(2)
+            basis.append(e)
+    return basis
 
 
-def _null_space(ks, tol):
-    """Orthonormal (r, m, m) basis of the Hermitian Q with
-    sum_jk Q_jk A_k^dag A_j = 0, singular values up to tol times the
-    largest counting as zero."""
-    ks = np.asarray(ks)
+def _perturbation(ks, tol=_NULL_TOL):
+    """The unit Hermitian Q with sum_jk Q_jk A_k^dag A_j = 0 (singular
+    values up to tol times the largest counting as zero) of least
+    off-diagonal mass, or None; a singular vector picks it, as a Gram
+    matrix would square the conditioning."""
     m = len(ks)
-    basis = _herm_basis(m)
+    basis = np.array(_herm_basis(m))
     # row b: the image of basis element b, real and imaginary parts
     prods = np.einsum("kax,jay->jkxy", ks.conj(), ks).reshape(m * m, -1)
     out = basis.reshape(m * m, m * m) @ prods
     u, s = np.linalg.svd(np.concatenate([out.real, out.imag], axis=1))[:2]
-    rank = np.count_nonzero(s > tol * s[0])
-    return np.tensordot(u[:, rank:].T, basis, 1)
-
-
-def _perturbation(ks, tol=1e-8):
-    """The nullspace element of least off-diagonal mass, or None.
-
-    Exactly diagonal ones are solved for from the A_i^dag A_i alone;
-    otherwise the least singular vector of the off-diagonal parts picks
-    Q (a Gram matrix would square the conditioning).
-    """
-    null = _null_space(ks, tol)
+    null = np.tensordot(u[:, np.count_nonzero(s > tol * s[0]):].T, basis, 1)
     if not len(null):
         return None
-    ks = np.asarray(ks)
-    diag = np.einsum("kax,kay->kxy", ks.conj(), ks).reshape(len(ks), -1)
-    u, s = np.linalg.svd(np.concatenate([diag.real, diag.imag], axis=1))[:2]
-    if s[-1] <= 1e-12 * s[0]:
-        return np.diag(u[:, -1]).astype(complex)
-    offd = (null * (1 - np.eye(len(ks)))).reshape(len(null), -1)
+    offd = (null * (1 - np.eye(m))).reshape(len(null), -1)
     u = np.linalg.svd(np.concatenate([offd.real, offd.imag], axis=1))[0]
     q = np.tensordot(u[:, -1], null, 1)
-    q = q / np.linalg.norm(q)
     # drop float fuzz so that Q is Hermitian to the last bit
-    return (q + q.conj().T) / 2
+    return (q + q.conj().T) / (2 * np.linalg.norm(q))
 
 
-def find_perturbation(ch, tol=1e-8):
+def find_perturbation(ch, tol=_NULL_TOL):
     """A Hermitian Q with sum_jk Q_jk A_k^dag A_j = 0, or None.
 
-    None comes back exactly when the channel is extremal. Among all
-    nullspace elements the returned Q minimizes off-diagonal mass (in the
-    Kraus eigenbasis), so convex splits follow the Choi eigenstructure
-    whenever they can; Q is normalized to unit Frobenius norm.
+    None comes back exactly when the channel is extremal. Q is the
+    nullspace element of least off-diagonal mass in the v_i (so splits
+    follow the Choi eigenstructure whenever they can), written for the
+    A_i and normalized to unit Frobenius norm.
     """
-    _require_tp(ch)
-    return _perturbation(_minimal_kraus(ch), tol)
+    v, norms = _directions(ch)
+    q = _perturbation(v, tol)
+    if q is None:
+        return None
+    q = q / np.outer(norms, norms)
+    return q / np.linalg.norm(q)
 
 
-def _combine(ks, c):
-    """The Kraus list B_l = sum_i c_il A_i."""
-    return np.tensordot(c.T, ks, 1)
-
-
-def _face_step(h):
-    """Coefficients (I - h / lam_max(h))^(1/2) and the step 1 / lam_max(h).
-
-    They take a Kraus list to the boundary of its face. The whole cluster
-    at lam_max drops out, not one rounding-split member of it.
-    """
+def _face_step(f, h):
+    """f (I - h / lam_max(h))^(1/2), the point f moved to the boundary of
+    its face, and the step 1 / lam_max(h). The whole cluster at lam_max
+    drops out, not one rounding-split member of it."""
     w, z = numkit.eigh(h)
     x = 1 - w / w[-1]
     keep = x > 1e-12
-    return z[:, keep] * np.sqrt(x[keep]), 1 / w[-1]
+    return f @ (z[:, keep] * np.sqrt(x[keep])), 1 / w[-1]
 
 
-def _walk(ks):
-    """Coefficients k such that the Kraus list ks k is extremal.
+def _walk(f, v):
+    """An extremal point in the face of the point f = p diag(s) r^dag.
 
-    Steps along nullspace directions until is_extremal_tp's test finds
-    none. Each goes to the nearer boundary, so no coefficient grows by
-    more than sqrt(2) and the rounding in Q is not amplified.
-    """
-    k = np.eye(len(ks), dtype=complex)
+    The null test runs on the point's Choi eigenvectors u = p^T v at
+    _NULL_TOL / weight (the channel split having weight one), capped at
+    1e-8 and never below is_extremal_tp's bound, so every point the walk
+    stops at passes that test. A step then moves the trace condition by
+    about _NULL_TOL in the channel's units, in which rounding is
+    absolute. Each step goes to the nearer boundary, so no coefficient
+    grows by more than sqrt(2)."""
     while True:
-        q = _perturbation(_combine(ks, k))
+        p, s = np.linalg.svd(f, full_matrices=False)[:2]
+        tol = min(_NULL_TOL * v.shape[1] / np.sum(s ** 2), 1e-8)
+        q = _perturbation(np.tensordot(p.T, v, 1), tol)
         if q is None:
-            return k
-        w = numkit.eigh(q)[0]
-        k = k @ _face_step(q if w[-1] >= -w[0] else -q)[0]
+            return f
+        h = q / np.outer(s, s)
+        w = numkit.eigh(h)[0]
+        f = _face_step(p * s, h if w[-1] >= -w[0] else -h)[0]
 
 
-def _tp_channel(ks):
-    """The channel of ks scaled to weight one, made exactly TP by the
-    congruence (sum B^dag B)^(-1/2); a correction above 1e-9 is a failed
-    self-check, not rounding, and raises RuntimeError."""
-    ks = ks * np.sqrt(ks.shape[1]) / np.linalg.norm(ks)
+def _tp_channel(f, v):
+    """The channel of the point f made exactly TP by the congruence
+    (sum B^dag B)^(-1/2). Its deviation from weight * I, in units where
+    the channel split has weight one, is about what the correction
+    moves in the mixture; above 1e-9 it is a failed self-check, not
+    rounding, and raises RuntimeError."""
+    ks = np.tensordot(f.T, v, 1)
     s = np.einsum("lax,lay->xy", ks.conj(), ks)
-    dev = np.abs(s - np.eye(len(s))).max()
+    dev = np.abs(s - np.trace(s).real / len(s) * np.eye(len(s))).max()
     if dev > 1e-9:
         raise RuntimeError("extremal part is off the trace condition by "
                            "%.3e" % dev)
@@ -167,63 +169,54 @@ def _tp_channel(ks):
     return channel.Channel(list(ks @ (z / np.sqrt(w)) @ z.conj().T))
 
 
-class ExtremalSplit:
+class ExtremalSplit(collections.namedtuple("ExtremalSplit",
+                                            "weight left right q")):
     """One proper convex split of a non-extremal channel.
 
     weight * left + (1 - weight) * right reproduces the source action;
     q is the perturbation that produced the split.
     """
 
-    def __init__(self, weight, left, right, q):
-        self.weight = weight
-        self.left = left
-        self.right = right
-        self.q = q
-
 
 def split_extremal(ch):
     """Split a non-extremal TP channel into two TP channels.
 
-    Raises on extremal input. Q moves the channel both ways to the
-    boundary of its face, to I + s_- Q and I - s_+ Q in face
-    coordinates, which mix back with weight s_+ / (s_+ + s_-); both
-    parts have rank at most m-1.
+    Raises on extremal input. find_perturbation's Q moves the channel
+    both ways to the boundary of its face, to I + s_- Q and I - s_+ Q,
+    which mix back with weight s_+ / (s_+ + s_-); both have rank < m.
     """
-    _require_tp(ch)
-    ks = np.array(_minimal_kraus(ch))
-    q = _perturbation(ks)
+    q = find_perturbation(ch)
     if q is None:
         raise ValueError("channel is extremal, nothing to split")
-    left, s_minus = _face_step(-q)
-    right, s_plus = _face_step(q)
+    v, norms = _directions(ch)
+    left, s_minus = _face_step(np.diag(norms), -q)
+    right, s_plus = _face_step(np.diag(norms), q)
     return ExtremalSplit(float(s_plus / (s_plus + s_minus)),
-                         _tp_channel(_combine(ks, left)),
-                         _tp_channel(_combine(ks, right)), q)
+                         _tp_channel(left, v), _tp_channel(right, v), q)
 
 
 def decompose_into_extremals(ch):
     """Write a non-extremal TP channel as a mixture of extremal channels.
 
-    A Caratheodory peel: walk from the remainder R to an extremal point
-    E = R k of its face, subtract the largest t E that leaves R - t E
-    positive, t = 1 / lam_max(k k^dag), and repeat on the remainder,
-    whose rank drops each time. Returns at most rank(ch) pairs (weight,
-    Channel), weights positive and summing to one. Raises ValueError on
-    extremal input, RuntimeError when a part is off the trace condition
-    (a walk stepped along products null only within tolerance).
+    A Caratheodory peel: walk from the remainder F to an extremal point
+    E = F Y of its face, subtract the largest t E that keeps F F^dag -
+    t E E^dag positive, t = 1 / lam_max(Y Y^dag), and repeat; the rank
+    drops each time, so at most rank(ch) pairs (weight, Channel) come
+    back, weights positive and summing to one. Raises ValueError on
+    extremal input, RuntimeError if a part fails _tp_channel's check.
     """
     if is_extremal_tp(ch):
         raise ValueError("channel is already extremal")
-    ks = np.array(_minimal_kraus(ch))
+    v, norms = _directions(ch)
+    f = np.diag(norms).astype(complex)
     parts = []
-    while len(ks):
-        k = _walk(ks)
-        rest, t = _face_step(k @ k.conj().T)
-        parts.append(np.sqrt(t) * _combine(ks, k))
-        ks = _combine(ks, rest)
-    weights = np.array([np.linalg.norm(p) ** 2 for p in parts])
-    weights /= weights.sum()
-    return [(float(w), _tp_channel(p)) for w, p in zip(weights, parts)]
+    while f.shape[1]:
+        e = _walk(f, v)
+        y = np.linalg.lstsq(f, e, rcond=None)[0]
+        f, t = _face_step(f, y @ y.conj().T)
+        parts.append((t * np.linalg.norm(e) ** 2, e))
+    total = sum(w for w, _ in parts)
+    return [(float(w / total), _tp_channel(e, v)) for w, e in parts]
 
 
 def _singular_combination(ks, rng, retries=32):
@@ -275,7 +268,6 @@ def rank_reducing_input(ch, seed=0):
     <chi| image |chi> ~ 0, and chi_space an n x k orthonormal basis
     (k >= n - m + 1) of the subspace annihilated by the image.
     """
-    _require_tp(ch)
     ks = _minimal_kraus(ch)
     m, n = len(ks), ch.dim
     if m > n:

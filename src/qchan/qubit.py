@@ -605,8 +605,12 @@ class ExtremalQubitForm:
         self.v = v
 
     def kraus(self):
-        return [self.u @ a @ self.v.conj().T
-                for a in _two_angle_kraus(self.s0, self.s1)]
+        a1 = np.diag([self.s0, self.s1]).astype(complex)
+        a2 = np.array([[0, np.sqrt(max(1 - self.s1 ** 2, 0.0))],
+                       [np.sqrt(max(1 - self.s0 ** 2, 0.0)), 0]],
+                      dtype=complex)
+        vd = self.v.conj().T
+        return [self.u @ a1 @ vd, self.u @ a2 @ vd]
 
     def reconstruct(self):
         return channel.Channel(self.kraus(), require_tp=True)
@@ -622,13 +626,10 @@ def canonical_extremal(alpha, beta):
     """
     s0 = np.sqrt(max((1 - np.cos(alpha + beta)) / 2, 0.0))
     s1 = np.sqrt(max((1 - np.cos(alpha - beta)) / 2, 0.0))
-    return channel.Channel(_two_angle_kraus(s0, s1), require_tp=True)
-
-
-def _two_angle_kraus(s0, s1):
-    return [np.diag([s0, s1]).astype(complex),
-            np.array([[0, np.sqrt(max(1 - s1 ** 2, 0.0))],
-                      [np.sqrt(max(1 - s0 ** 2, 0.0)), 0]], dtype=complex)]
+    a1 = np.diag([s0, s1]).astype(complex)
+    a2 = np.array([[0, np.sqrt(max(1 - s1 ** 2, 0.0))],
+                   [np.sqrt(max(1 - s0 ** 2, 0.0)), 0]], dtype=complex)
+    return channel.Channel([a1, a2], require_tp=True)
 
 
 def _rotation_between(a, b):

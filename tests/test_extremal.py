@@ -115,12 +115,7 @@ def _unitary_mixture(seed, n, k, equal):
                             for x in w])
 
 
-def _replacer(seed, floor):
-    rho = random_density(np.random.default_rng(seed), 3)
-    return channel.replacer((1 - 3 * floor) * rho + floor * np.eye(3))
-
-
-def _check_peel(ch, rebuild_tol):
+def _check_peel(ch):
     if extremal.is_extremal_tp(ch):
         with pytest.raises(ValueError, match="already extremal"):
             extremal.decompose_into_extremals(ch)
@@ -133,7 +128,7 @@ def _check_peel(ch, rebuild_tol):
         assert channel.is_tp(part, atol=1e-12)
         assert extremal.is_extremal_tp(part)
     rebuilt = sum(w * part.choi for w, part in parts)
-    assert np.abs(rebuilt - ch.choi).max() <= rebuild_tol
+    assert np.abs(rebuilt - ch.choi).max() <= 1e-10
 
 
 _SEEDS = st.integers(0, 2 ** 32 - 1)
@@ -142,48 +137,29 @@ _CHANNELS = st.one_of(
         lambda seed, m: random_tp_channel(np.random.default_rng(seed), n, m),
         _SEEDS, st.integers(2, n * n))),
     st.floats(1e-5, 4 / 3).map(channel.depolarizing),
-    st.builds(_near_unitary, _SEEDS, st.just(2), st.floats(-4, -1)),
-    st.builds(_near_unitary, _SEEDS, st.just(3), st.floats(-2, -1)),
+    st.builds(_near_unitary, _SEEDS, st.integers(2, 3), st.floats(-5, -1)),
     st.builds(_unitary_mixture, _SEEDS, st.integers(2, 3), st.integers(2, 4),
               st.booleans()),
-    st.builds(_replacer, _SEEDS, st.just(0.1)),
+    st.builds(lambda seed: channel.replacer(
+        random_density(np.random.default_rng(seed), 3)), _SEEDS),
     st.just(channel.replacer(np.diag([0.5, 0.3, 0.2]))))
 
 
 @settings(max_examples=40, deadline=None)
 @given(_CHANNELS)
-# the split tree failed these: a part off the trace condition, a part
-# that is not extremal, and 64 or more leaves
+# the split tree raised on every depolarizing case here but 0.649...
+# (a part off the trace condition) and on completely_depolarizing(3)
+# (64 leaves), and gave more parts than the Choi rank on 0.649... (6)
+# and on the rank-9 qutrit (64); near p = 1 a walk that steps along
+# products null only to 1e-8 loses the trace condition
 @example(channel.depolarizing(0.8474062580174515))
 @example(channel.depolarizing(0.6493974204659505))
 @example(channel.completely_depolarizing(3))
 @example(random_tp_channel(np.random.default_rng(3), 3, 9))
-def test_decompose_peels_at_most_rank_parts(ch):
-    _check_peel(ch, 1e-10)
-
-
-# A walk can pass a point whose products have a singular value within
-# is_extremal_tp's 1e-8, of order (small/large)^2 for Choi eigenvalues
-# far apart, or of the eigenvector rounding for nearly equal ones; the
-# step the test then demands moves the trace condition by as much
-# (ROADMAP, item 5).
-_NEAR_THRESHOLD = st.one_of(
-    st.builds(_near_unitary, _SEEDS, st.just(2), st.floats(-5, -4)),
-    st.builds(_near_unitary, _SEEDS, st.just(3), st.floats(-5, -2)),
-    st.builds(_replacer, _SEEDS, st.just(0.0)),
-    st.floats(1 - 1e-6, 1 + 1e-6).map(channel.depolarizing))
-
-
-@settings(max_examples=20, deadline=None)
-@given(_NEAR_THRESHOLD)
 @example(channel.depolarizing(10.0 ** 1e-8))
-def test_decompose_near_the_extremality_tolerance(ch):
-    """Either the parts meet every check, with the rebuild as close as the
-    1e-9 trace self-check allows, or that self-check raises."""
-    try:
-        _check_peel(ch, 1e-8)
-    except RuntimeError as exc:
-        assert "off the trace condition" in str(exc)
+@example(channel.depolarizing(1 + 1e-7))
+def test_decompose_peels_at_most_rank_parts(ch):
+    _check_peel(ch)
 
 
 def test_decompose_two_unitary_mixture():

@@ -8,13 +8,14 @@ from conftest import random_density, random_unitary
 def test_vec_is_row_major():
     a = np.array([[1, 2], [3, 4]], dtype=complex)
     assert np.array_equal(numkit.mat_to_vec(a), np.array([1, 2, 3, 4]))
+    assert np.array_equal(numkit.vec_to_mat(np.array([1, 2, 3, 4]), 2, 2), a)
 
 
 def test_vec_roundtrip():
     rng = np.random.default_rng(0)
     for n in (2, 3, 4):
         a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        assert np.abs(numkit.mat_to_vec(a).reshape(n, n) - a).max() == 0
+        assert np.abs(numkit.vec_to_mat(numkit.mat_to_vec(a), n, n) - a).max() == 0
 
 
 def test_kron_matches_numpy():
