@@ -10,12 +10,14 @@ semidefinite program through its dual. All three optimizers certify
 their answer with a bound within 1e-8: the Holevo quantity a lower
 bound from an ensemble and the minimax upper bound, classical
 correlations the value of a POVM and the dual bound of the measurement
-linear program, the fidelity a primal value and its dual bound.
+linear program, the fidelity a primal value and its dual bound. The
+Holevo and correlation bounds are one computation, the minimum over the
+Bloch sphere of a concave entropy f(u) less an affine function, in the
+channel's or the state's Bloch frame.
 """
 
 import numpy as np
 import scipy.optimize
-import scipy.special
 
 from . import numkit, channel, extremal, qubit
 
@@ -104,11 +106,18 @@ def quantum_capacity_rank2_unital(ch):
     return 1.0 - binary_entropy(min(p, 1.0))
 
 
-# --- Holevo quantity ----------------------------------------------------------
+# --- the Bloch sphere toolkit of both certified solvers ----------------------
+#
+# Both solvers work on a frame (a, b, T): the point u of the Bloch ball
+# stands for p = 1 + a.u and v = b + T^T u, and f(u) = p H(v / p) in bits.
+# For classical correlations u is a measured direction and v / p the
+# remote state it leaves; for Holevo chi the frame (0, t, lam^T) of the
+# Bloch map r = t + lam u gives f(u) = H(r), the output entropy. Each
+# bound is a minimum over the sphere of f less an affine function.
 
-def _bloch_rho(u):
-    return (np.eye(2, dtype=complex) + u[0] * qubit.SX + u[1] * qubit.SY
-            + u[2] * qubit.SZ) / 2
+def _xlogx(x):
+    """x ln x elementwise, with 0 ln 0 = 0."""
+    return x * np.log(np.where(x > 0, x, 1.0))
 
 
 def _fibonacci_sphere(m):
@@ -120,111 +129,93 @@ def _fibonacci_sphere(m):
     return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
 
 
-# input directions of the Blahut-Arimoto stage and of the grid maximum
+# directions of the Blahut-Arimoto stage, the measurement LP and the grid
+# minimum
 _GRID = _fibonacci_sphere(400)
-_BA_ITERATIONS = 300
-# gap at which column generation stops; holevo_chi accepts up to 1e-8
-_CHI_TARGET_GAP = 1e-10
-_CHI_ROUNDS = 4
+# gap at which column generation stops; _certify accepts up to 1e-8
+_TARGET_GAP = 1e-10
+_ROUNDS = 4
 
 
-def _entropy(r):
-    """H((1 + |r|) / 2) in bits for Bloch vectors r of shape (..., 3)."""
-    n = np.minimum(np.linalg.norm(r, axis=-1), 1.0)
-    p, q = (1 + n) / 2, (1 - n) / 2
-    return -(scipy.special.xlogy(p, p) + scipy.special.xlogy(q, q)) / LOG2
+def _certify(value, bound, what):
+    """Raise RuntimeError when bound is more than 1e-8 above value."""
+    if bound - value > 1e-8:
+        raise RuntimeError("%s not certified: value %.12f, bound %.12f"
+                           % (what, value, bound))
 
 
-def _entropy_slopes(r):
-    """c1, c2 with grad H = -c1 r / ln 2, Hess H = -(c1 I + c2 r r^T) / ln 2.
+def _entropy_terms(r):
+    """H, c1, c2 with H = H((1 + |r|) / 2) in bits, grad H = -c1 r / ln 2
+    and Hess H = -(c1 I + c2 r r^T) / ln 2, at Bloch vectors r (k, 3).
 
-    H is _entropy at Bloch vectors r of shape (k, 3). The norm is capped
-    just below 1, where the slope is infinite; series replace the
-    ratios near 0.
+    The norm is capped just below 1 for the slopes, which are infinite
+    there; series replace the ratios near 0.
     """
-    n = np.minimum(np.sqrt(np.sum(r * r, axis=-1)), 1 - 1e-12)
+    n = np.minimum(np.sqrt(np.sum(r * r, axis=-1)), 1.0)
+    h = -(_xlogx((1 + n) / 2) + _xlogx((1 - n) / 2)) / LOG2
+    n = np.minimum(n, 1 - 1e-12)
     small = n < 1e-4
     ns = np.where(small, 0.5, n)
     c1 = np.where(small, 1 + n * n / 3, np.arctanh(ns) / ns)
     c2 = np.where(small, 2 / 3 + 4 * n * n / 5,
                   (1 / (1 - ns * ns) - c1) / (ns * ns))
-    return c1, c2
+    return h, c1, c2
 
 
 def _tangent_bases(u):
-    """Orthonormal bases (k, 3, 2) of the tangent planes at unit vectors u."""
-    e = np.eye(3)[np.argmin(np.abs(u), axis=1)]
-    b1 = e - np.sum(e * u, axis=1)[:, None] * u
-    b1 /= np.sqrt(np.sum(b1 * b1, axis=1))[:, None]
-    b2 = u[:, [1, 2, 0]] * b1[:, [2, 0, 1]] - u[:, [2, 0, 1]] * b1[:, [1, 2, 0]]
-    return np.stack([b1, b2], axis=2)
+    """Orthonormal bases (k, 3, 2) of the tangent planes at unit vectors u,
+    in the branch-free form of Duff et al. (JCGT 6(1), 2017)."""
+    x, y, z = u.T
+    s = np.copysign(1.0, z)
+    a = -1 / (s + z)
+    b = x * y * a
+    return np.stack([np.stack([1 + s * x * x * a, s * b, -s * x], axis=1),
+                     np.stack([b, s + y * y * a, -y], axis=1)], axis=2)
 
 
-def _output_hessians(lam, u, r, c1, c2):
-    """Tangent-plane images l = lam B of the inputs and the Hessians of H
-    along them, B^T lam^T Hess H(r) lam B, formed from l^T r so that
-    the large radial curvature of nearly pure outputs cancels exactly."""
-    l = np.einsum("ab,ibc->iac", lam, _tangent_bases(u))
-    lr = np.einsum("iac,ia->ic", l, r)
-    return l, -(c1[:, None, None] * np.einsum("iac,iad->icd", l, l)
-                + c2[:, None, None] * lr[:, :, None] * lr[:, None, :]) / LOG2
+def _frame_entropy(frame, u):
+    """f(u) = p H(v / p) in bits at points u (k, 3) of the frame.
 
-
-def _simplex_basis(k):
-    """Orthonormal basis (k, k - 1) of the weight changes summing to 0."""
-    return np.linalg.svd(np.ones((1, k)))[2][1:].T
-
-
-def _chi_terms(lam, t, w, u):
-    """chi of the pure-state ensemble (w, u), with gradient and Hessian.
-
-    Derivatives are taken in the weights, restricted to sum(w) = 1 by
-    the orthonormal basis z of that plane, and in the tangent planes of
-    the input directions, with the sphere's curvature term.
+    Written as the perspective -(q+ log q+ + q- log q- - p log p) / ln 2
+    with q+- = (p +- |v|) / 2, so it stays finite as p -> 0.
     """
-    k = len(w)
-    r = t + u @ lam.T
-    rbar = w @ r
-    h = _entropy(r)
-    c1, c2 = _entropy_slopes(np.vstack([rbar, r]))
-    gb = -c1[0] * rbar / LOG2
-    hb = -(c1[0] * np.eye(3) + c2[0] * np.outer(rbar, rbar)) / LOG2
-    dg = gb + c1[1:, None] * r / LOG2
-    l, own = _output_hessians(lam, u, r, c1[1:], c2[1:])
-    slope = np.einsum("iac,ia->ic", l, dg)
-    lhb = np.einsum("iac,ab->icb", l, hb)
-    hdd = np.einsum("i,j,icb,jbd->icjd", w, w, lhb, l)
-    curv = w * np.sum((r - t) * dg, axis=1)
-    for i in range(k):
-        hdd[i, :, i, :] -= w[i] * own[i] + curv[i] * np.eye(2)
-    hwd = w[None, :, None] * np.einsum("icb,jb->jic", lhb, r)
-    hwd[np.arange(k), np.arange(k)] += slope
-    z = _simplex_basis(k)
-    hwd = z.T @ hwd.reshape(k, 2 * k)
-    grad = np.concatenate([z.T @ (r @ gb - h), (w[:, None] * slope).ravel()])
-    hess = np.block([[z.T @ r @ hb @ r.T @ z, hwd],
-                     [hwd.T, hdd.reshape(2 * k, 2 * k)]])
-    return _entropy(rbar) - w @ h, grad, hess
+    a, b, tt = frame
+    p = np.maximum(1 + u @ a, 0.0)
+    nv = np.sqrt(np.sum((b + u @ tt) ** 2, axis=-1))
+    qp, qm = (p + nv) / 2, np.maximum((p - nv) / 2, 0.0)
+    return -(_xlogx(qp) + _xlogx(qm) - _xlogx(p)) / LOG2
 
 
-def _divergence(lam, t, s, u):
-    """D(Phi(u) || sigma_s) in bits for input directions u (k, 3)."""
-    r = t + u @ lam.T
-    ns = np.linalg.norm(s)
-    shat = s / ns if ns > 0 else s
-    a = 0.5 * np.log((1 - ns * ns) / 4)
-    return -_entropy(r) - (a + np.arctanh(ns) * (r @ shat)) / LOG2
+def _frame_terms(frame, u, bases):
+    """f at points u (k, 3), its gradient (k, 3) and its Hessian along
+    the columns of bases (k, 3, m).
+
+    With rho = v / p and l = p d rho / du = T^T - rho a^T, the Hessian is
+    l^T Hess H(rho) l / p. l is taken along the bases before any product
+    is formed: at a sphere point whose remote state is nearly pure, the
+    tangent images l B are nearly orthogonal to rho, and the large radial
+    curvature c2 then meets only the small projections (l B)^T rho.
+    """
+    a, b, tt = frame
+    p = np.maximum(1 + u @ a, 1e-100)
+    v = b + u @ tt
+    # |v| <= p but for rounding; a pure remote state stays pure
+    rho = v / np.maximum(p, np.sqrt(np.sum(v * v, axis=1)))[:, None]
+    h, c1, c2 = _entropy_terms(rho)
+    dh = -c1[:, None] * rho / LOG2
+    grad = (h - np.sum(rho * dh, axis=1))[:, None] * a + dh @ tt.T
+    l = tt.T @ bases - rho[:, :, None] * (a @ bases)[:, None, :]
+    lr = np.einsum("kjm,kj->km", l, rho)
+    hess = -(c1[:, None, None] * np.einsum("kjm,kjn->kmn", l, l)
+             + c2[:, None, None] * lr[:, :, None] * lr[:, None, :]) \
+        / (LOG2 * p[:, None, None])
+    return p * h, grad, hess
 
 
-def _divergence_terms(lam, t, s, u):
-    """D(Phi(u) || sigma_s) at one direction u, with tangent derivatives."""
-    r = t + lam @ u
-    ns = np.linalg.norm(s)
-    c1, c2 = _entropy_slopes(r[None])
-    slope = (c1[0] * r - np.arctanh(ns) * s / max(ns, 1e-300)) / LOG2
-    l, own = _output_hessians(lam, u[None], r[None], c1, c2)
-    hess = -own[0] - ((r - t) @ slope) * np.eye(2)
-    return _divergence(lam, t, s, u[None])[0], l[0].T @ slope, hess
+def _tangent_curvature(u, hess, slope):
+    """hess - (u . slope) I: the Hessian along the sphere at u of a
+    function with tangent Hessian hess and ambient gradient slope."""
+    return hess - np.sum(u * slope, axis=-1)[..., None, None] * np.eye(2)
 
 
 def _ascend(terms, move, x, cutoff=1e-10, iterations=100):
@@ -264,62 +255,28 @@ def _move_on_sphere(u, step):
     return v / np.linalg.norm(v)
 
 
-def _move_ensemble(ens, step):
-    """Step an ensemble, stopping where a weight reaches 0; it then leaves."""
-    w, u = ens
-    k = len(w)
-    dw = _simplex_basis(k) @ step[:k - 1]
-    falling = dw < 0
-    frac = min(1.0, (w[falling] / -dw[falling]).min(initial=np.inf))
-    w = w + frac * dw
-    u = u + frac * np.einsum("iac,ic->ia", _tangent_bases(u),
-                             step[k - 1:].reshape(k, 2))
-    keep = w > 1e-15
-    return (w[keep] / w[keep].sum(),
-            u[keep] / np.linalg.norm(u[keep], axis=1)[:, None])
+def _sphere_min(frame, y0, y, starts):
+    """A lower bound on min over the sphere of f(u) - y0 - y.u, and the
+    direction attaining the minimum found.
 
-
-def _polish_ensemble(lam, t, w, u):
-    """Newton ascent of chi in the weights and directions of (w, u).
-
-    A second pass moves only along well-curved directions. Nearly flat
-    ones (inputs whose outputs are almost pure) can keep the first pass
-    taking long steps, which leaves the average output off balance; the
-    second pass settles it.
+    The three best points of _GRID and the given starts are polished by
+    Newton steps on the sphere. The minimum found is lowered by an
+    allowance for rounding in f (below 2 bits) and in the affine part.
     """
-    def terms(ens):
-        return _chi_terms(lam, t, *ens)
+    vals = _frame_entropy(frame, _GRID) - _GRID @ y
+    starts = np.concatenate([_GRID[np.argsort(vals)[:3]], starts])
 
-    ens = _ascend(terms, _move_ensemble, (w, u))[0]
-    return _ascend(terms, _move_ensemble, ens, cutoff=1e-4)[0]
+    def terms(u):
+        bases = _tangent_bases(u[None])
+        f, grad, hess = _frame_terms(frame, u[None], bases)
+        gy = grad[0] - y
+        return (y @ u - f[0], -(gy @ bases[0]),
+                -_tangent_curvature(u, hess[0], gy))
 
-
-def _divergence_max(lam, t, s, starts):
-    """max over the sphere of D(Phi(u) || sigma_s): grid, then polish.
-
-    The three best grid points and the given starts are polished by
-    Newton ascent on the sphere. Returns (value, u).
-    """
-    vals = _divergence(lam, t, s, _GRID)
-    starts = np.concatenate([_GRID[np.argsort(vals)[-3:]], starts])
-
-    best = (-np.inf, None)
-    for u0 in starts:
-        u, val = _ascend(lambda v: _divergence_terms(lam, t, s, v),
-                         _move_on_sphere, u0)
-        best = max(best, (val, u), key=lambda p: p[0])
-    return best
-
-
-def _blahut_arimoto(lam, t):
-    """Weights on _GRID after _BA_ITERATIONS of w <- w 2^D(r_i || rbar)."""
-    r = t + _GRID @ lam.T
-    w = np.full(len(_GRID), 1 / len(_GRID))
-    for _ in range(_BA_ITERATIONS):
-        d = _divergence(lam, t, (1 - 1e-12) * (w @ r), _GRID)
-        w = w * np.exp2(d - d.max())
-        w /= w.sum()
-    return w
+    u, val = max((_ascend(terms, _move_on_sphere, u0) for u0 in starts),
+                 key=lambda p: p[1])
+    allowance = 256 * np.finfo(float).eps * (1 + abs(y0) + np.linalg.norm(y))
+    return -val - y0 - allowance, u
 
 
 def _cluster(w, dirs):
@@ -346,37 +303,153 @@ def _cluster(w, dirs):
     return ws / ws.sum(), us
 
 
-def _chi_bounds(lam, t, w, u):
+# --- Holevo quantity ----------------------------------------------------------
+
+def _bloch_rho(u):
+    return (np.eye(2, dtype=complex) + u[0] * qubit.SX + u[1] * qubit.SY
+            + u[2] * qubit.SZ) / 2
+
+
+_BA_ITERATIONS = 300
+
+
+def _divergence_affine(frame, w, u):
+    """kappa, y with D(Phi(u') || sigma) = kappa + y.u' - f(u') in the
+    channel frame (0, t, lam^T), at sigma the average output of the
+    ensemble (w, u) mixed with 1e-12 of I / 2 so that log sigma stays
+    finite.
+
+    sigma = (I + s.sigma) / 2 has the eigenvalues (1 +- |s|) / 2 along
+    +-s; kappa weighs their logarithms by (1 +- t.s / |s|) / 2 >= 0, so
+    its terms do not cancel.
+    """
+    s = (1 - 1e-12) * (frame[1] + (w @ u) @ frame[2])
+    n = np.linalg.norm(s)
+    shat = s / n if n > 0 else s
+    up, down = np.log1p(n) - LOG2, np.log1p(-n) - LOG2
+    c = frame[1] @ shat
+    return (-((1 + c) * up + (1 - c) * down) / (2 * LOG2),
+            (down - up) / (2 * LOG2) * (frame[2] @ shat))
+
+
+def _chi_value(frame, w, u):
+    """f(ubar) - sum w_i f(u_i), ubar = sum w_i u_i, in the channel frame."""
+    f = _frame_entropy(frame, np.vstack([w @ u, u]))
+    return f[0] - w @ f[1:]
+
+
+def _simplex_basis(k):
+    """Orthonormal basis (k, k - 1) of the weight changes summing to 0."""
+    return np.linalg.svd(np.ones((1, k)))[2][1:].T
+
+
+def _chi_terms(frame, w, u):
+    """chi of the pure-state ensemble (w, u), with gradient and Hessian.
+
+    Derivatives are taken in the weights, restricted to sum(w) = 1 by
+    the orthonormal basis z of that plane, and in the tangent planes of
+    the input directions. With y = grad f(ubar), direction u_i's own
+    block is -w_i times the sphere Hessian of f - y.u at u_i; the rest
+    is the Hessian of f at ubar seen through d ubar.
+    """
+    k = len(w)
+    bases = _tangent_bases(u)
+    # f at ubar in ambient coordinates, at the u_i along (tangent, radial)
+    frames = np.concatenate([np.eye(3)[None],
+                             np.concatenate([bases, u[:, :, None]], axis=2)])
+    f, g, h = _frame_terms(frame, np.vstack([w @ u, u]), frames)
+    gy = g[1:] - g[0]
+    slope = -np.einsum("kam,ka->km", bases, gy)
+    curv = _tangent_curvature(u, h[1:, :2, :2], gy)
+    z = _simplex_basis(k)
+    jac = np.concatenate([u.T @ z, (w[:, None, None] * bases).transpose(
+        1, 0, 2).reshape(3, 2 * k)], axis=1)
+    hess = jac.T @ h[0] @ jac
+    cross = (z.T[:, :, None] * slope).reshape(k - 1, 2 * k)
+    hess[:k - 1, k - 1:] += cross
+    hess[k - 1:, :k - 1] += cross.T
+    own = np.zeros((k, 2, k, 2))
+    own[np.arange(k), :, np.arange(k), :] = w[:, None, None] * curv
+    hess[k - 1:, k - 1:] -= own.reshape(2 * k, 2 * k)
+    grad = np.concatenate([z.T @ (u @ g[0] - f[1:]),
+                           (w[:, None] * slope).ravel()])
+    return f[0] - w @ f[1:], grad, hess
+
+
+def _move_ensemble(ens, step):
+    """Step an ensemble, stopping where a weight reaches 0; it then leaves."""
+    w, u = ens
+    k = len(w)
+    dw = _simplex_basis(k) @ step[:k - 1]
+    falling = dw < 0
+    frac = min(1.0, (w[falling] / -dw[falling]).min(initial=np.inf))
+    w = w + frac * dw
+    u = u + frac * np.einsum("iac,ic->ia", _tangent_bases(u),
+                             step[k - 1:].reshape(k, 2))
+    keep = w > 1e-15
+    return (w[keep] / w[keep].sum(),
+            u[keep] / np.linalg.norm(u[keep], axis=1)[:, None])
+
+
+def _polish_ensemble(frame, w, u):
+    """Newton ascent of chi in the weights and directions of (w, u).
+
+    A second pass moves only along well-curved directions. Nearly flat
+    ones (inputs whose outputs are almost pure) can keep the first pass
+    taking long steps, which leaves the average output off balance; the
+    second pass settles it.
+    """
+    def terms(ens):
+        return _chi_terms(frame, *ens)
+
+    ens = _ascend(terms, _move_ensemble, (w, u))[0]
+    return _ascend(terms, _move_ensemble, ens, cutoff=1e-4)[0]
+
+
+def _blahut_arimoto(frame):
+    """Weights on _GRID after _BA_ITERATIONS of w <- w 2^D(r_i || rbar).
+
+    D - max D does not see kappa, so each sweep needs only y and the
+    output entropies on _GRID, which are computed once.
+    """
+    f = _frame_entropy(frame, _GRID)
+    w = np.full(len(_GRID), 1 / len(_GRID))
+    for _ in range(_BA_ITERATIONS):
+        d = _GRID @ _divergence_affine(frame, w, _GRID)[1] - f
+        w = w * np.exp2(d - d.max())
+        w /= w.sum()
+    return w
+
+
+def _chi_bounds(frame, w, u):
     """chi of the ensemble (w, u), the minimax bound at its average output,
-    and the input direction attaining that bound."""
-    r = t + u @ lam.T
-    rbar = w @ r
-    # any sigma gives a bound; mixing in 1e-12 of I/2 keeps log sigma finite
-    s = (1 - 1e-12) * rbar
-    upper, u_star = _divergence_max(lam, t, s, u)
-    # allowance for rounding in terms up to atanh|s|, so the bound stays one
-    upper += 256 * np.finfo(float).eps * (1 + np.arctanh(np.linalg.norm(s)))
-    return _entropy(rbar) - w @ _entropy(r), upper, u_star
+    and the input direction attaining that bound.
+
+    Any sigma gives chi <= max over the sphere of D(Phi(u) || sigma) =
+    kappa + y.u - f(u), so the bound is -min(f - kappa - y.u).
+    """
+    kappa, y = _divergence_affine(frame, w, u)
+    low, u_star = _sphere_min(frame, kappa, y, u)
+    return _chi_value(frame, w, u), -low, u_star
 
 
-def _chi_primal_dual(lam, t):
+def _chi_primal_dual(frame):
     """Ensemble (w, u) with its chi and a minimax upper bound."""
-    w, u = _cluster(_blahut_arimoto(lam, t), _GRID)
+    w, u = _cluster(_blahut_arimoto(frame), _GRID)
     if len(w) < 2:  # one state carries no information; start from a pair
         w, u = np.array([0.5, 0.5]), np.concatenate([u, -u])
-    for k in range(_CHI_ROUNDS):
-        w, u = _polish_ensemble(lam, t, w, u)
-        lower, upper, u_star = _chi_bounds(lam, t, w, u)
-        if upper - lower <= _CHI_TARGET_GAP or k == _CHI_ROUNDS - 1:
+    for k in range(_ROUNDS):
+        w, u = _polish_ensemble(frame, w, u)
+        lower, upper, u_star = _chi_bounds(frame, w, u)
+        if upper - lower <= _TARGET_GAP or k == _ROUNDS - 1:
             break
         w, u = np.append(0.99 * w, 0.01), np.vstack([u, u_star])
     # antipodal pairs along the cardinal axes, exact for clean channels;
     # every sigma gives a bound, so the lower of the two is kept
     for axis in np.eye(3):
         pair = (np.array([0.5, 0.5]), np.array([axis, -axis]))
-        r = t + pair[1] @ lam.T
-        if _entropy(pair[0] @ r) - pair[0] @ _entropy(r) >= lower:
-            (w, u), (lower, pair_upper, _) = pair, _chi_bounds(lam, t, *pair)
+        if _chi_value(frame, *pair) >= lower:
+            (w, u), (lower, pair_upper, _) = pair, _chi_bounds(frame, *pair)
             upper = min(upper, pair_upper)
     return w, u, lower, upper
 
@@ -384,15 +457,17 @@ def _chi_primal_dual(lam, t):
 def holevo_chi(ch):
     """Maximize S(out of average) - average output entropy over ensembles.
 
-    Works on the Bloch map r = t + lam u of the channel. A lower bound
-    comes from a pure-state ensemble: Blahut-Arimoto weights on a grid
-    of input directions, merged into at most four points and polished
-    by Newton steps on weights and directions, with the cardinal
-    antipodal pairs as extra candidates (exact for clean channels like
-    the identity). The upper bound is the minimax one,
-    chi <= max over pure psi of D(Phi(psi) || sigma), at sigma the output
-    of the ensemble's average; the inner maximum comes from a grid plus
-    local polish. While the gap is wide the maximizer joins the ensemble
+    Works on the Bloch map r = t + lam u of the channel, as the frame
+    (0, t, lam^T) of the sphere toolkit. A lower bound comes from a
+    pure-state ensemble: Blahut-Arimoto weights on a grid of input
+    directions, merged into at most four points and polished by Newton
+    steps on weights and directions, with the cardinal antipodal pairs
+    as extra candidates (exact for clean channels like the identity).
+    The upper bound is the minimax one, chi <= max over pure psi of
+    D(Phi(psi) || sigma), at sigma the output of the ensemble's average;
+    the divergence is an affine function less the output entropy, so
+    the maximum is the sphere minimum that also bounds classical
+    correlations. While the gap is wide the maximizer joins the ensemble
     and the polish runs again. The ensemble is rebuilt as density
     matrices and its value recomputed from them. Raises RuntimeError if
     the upper bound is more than 1e-8 above that value.
@@ -400,7 +475,7 @@ def holevo_chi(ch):
     if ch.dim != 2 or not channel.is_tp(ch):
         raise ValueError("need a trace-preserving qubit channel")
     p = qubit.ptm(ch)
-    w, u, val, upper = _chi_primal_dual(p.lam, p.t)
+    w, u, val, upper = _chi_primal_dual((np.zeros(3), p.t, p.lam.T))
     ens = Ensemble([(wk, _bloch_rho(uk)) for wk, uk in zip(w, u)])
     avg_out = channel.apply(ch, ens.average())
     recomputed = von_neumann_entropy(avg_out) - sum(
@@ -408,11 +483,10 @@ def holevo_chi(ch):
         for wk, r in ens.items)
     if abs(recomputed - val) > 1e-9:
         raise RuntimeError("ensemble does not reproduce the reported value")
-    if upper - recomputed > 1e-8:
-        raise RuntimeError("Holevo chi not certified: ensemble %.12f, "
-                           "upper bound %.12f" % (recomputed, upper))
-    # chi >= 0; a constant channel's entropies cancel to 0 or -0.0
-    return ChiResult(max(0.0, float(recomputed)), ens,
+    _certify(recomputed, upper, "Holevo chi")
+    # 0 <= chi <= 1 for a qubit; a constant channel's entropies cancel to
+    # 0 or -0.0, a unitary's to 1 plus rounding
+    return ChiResult(min(max(0.0, float(recomputed)), 1.0), ens,
                      "blahut-arimoto minimax", float(upper))
 
 
@@ -467,80 +541,32 @@ def _correlation_value(rho_ab, elements, measured_first, s_remote):
         else:
             w = numkit.partial_trace(numkit.kron(eye, e) @ rho_ab, 2, 2, 2)
         lam = np.maximum(numkit.eigh((w + w.conj().T) / 2)[0], 0.0)
-        val += (scipy.special.xlogy(lam, lam).sum()
-                - scipy.special.xlogy(lam.sum(), lam.sum())) / LOG2
+        val += (_xlogx(lam).sum() - _xlogx(lam.sum())) / LOG2
     return val
 
 
 _PAULI_PAIRS = np.array([[numkit.kron(s, t) for t in qubit.PAULIS]
                          for s in qubit.PAULIS])
-# gap at which column generation stops; classical_correlations accepts 1e-8
-_CORRELATION_TARGET_GAP = 1e-10
-_CORRELATION_ROUNDS = 4
 
 
 def _correlation_frame(rho_ab, measured_first):
     """Bloch data (a, b, T) of rho_ab with the measured qubit's first:
     rho = (I + a.sigma (x) I + I (x) b.sigma + T_ij sigma_i (x) sigma_j) / 4
-    in the order (measured, remote)."""
+    in the order (measured, remote). The outcome c (I + u.sigma) has
+    probability c p, p = 1 + a.u, and leaves the remote qubit at Bloch
+    vector v / p, v = b + T^T u: the sphere toolkit's f(u) = p S(v / p)
+    is its share of the conditional entropy."""
     r = np.einsum("mnij,ji->mn", _PAULI_PAIRS, rho_ab).real
     if not measured_first:
         r = r.T
     return r[1:, 0], r[0, 1:], r[1:, 1:]
 
 
-def _conditional(frame, u):
-    """f(u) = p S(v / p) in bits for measured directions u (k, 3).
-
-    The outcome c (I + u.sigma) has probability c p, p = 1 + a.u, and
-    leaves the remote qubit at Bloch vector v / p, v = b + T^T u. Written
-    as the perspective -(q+ log q+ + q- log q- - p log p) / ln 2 with
-    q+- = (p +- |v|) / 2, so it stays finite as p -> 0.
-    """
-    a, b, tt = frame
-    p = np.maximum(1 + u @ a, 0.0)
-    nv = np.sqrt(np.sum((b + u @ tt) ** 2, axis=-1))
-    qp, qm = (p + nv) / 2, np.maximum((p - nv) / 2, 0.0)
-    return -(scipy.special.xlogy(qp, qp) + scipy.special.xlogy(qm, qm)
-             - scipy.special.xlogy(p, p)) / LOG2
-
-
-def _conditional_terms(frame, u):
-    """_conditional at directions u (k, 3) with its gradient (k, 3) and
-    Hessian (k, 3, 3) in the ambient coordinates of u.
-
-    With rho = v / p and l = p d rho / du = T^T - rho a^T, the Hessian
-    is l^T Hess H(rho) l / p, formed from l^T rho so that the large
-    radial curvature of nearly pure remote states cancels exactly.
-    """
-    a, b, tt = frame
-    p = np.maximum(1 + u @ a, 1e-100)
-    v = b + u @ tt
-    # |v| <= p but for rounding; a pure remote state stays pure
-    rho = v / np.maximum(p, np.sqrt(np.sum(v * v, axis=1)))[:, None]
-    c1, c2 = _entropy_slopes(rho)
-    dh = -c1[:, None] * rho / LOG2
-    l = tt.T[None] - rho[:, :, None] * a[None, None, :]
-    lr = np.einsum("kji,kj->ki", l, rho)
-    grad = (_entropy(rho) - np.sum(rho * dh, axis=1))[:, None] * a \
-        + dh @ tt.T
-    hess = -(c1[:, None, None] * np.einsum("kji,kjl->kil", l, l)
-             + c2[:, None, None] * lr[:, :, None] * lr[:, None, :]) \
-        / (LOG2 * p[:, None, None])
-    return _conditional(frame, u), grad, hess
-
-
-def _tangent_curvature(bases, u, hess, slope):
-    """B^T Hess B - (u . slope) I: the Hessian along the sphere at u."""
-    return (np.einsum("kai,kab,kbj->kij", bases, hess, bases)
-            - np.sum(u * slope, axis=1)[:, None, None] * np.eye(2))
-
-
 def _measurement_lp(frame, u):
     """Weights c >= 0 on directions u minimizing sum c f(u) subject to
     sum c = 1 and sum c u = 0, with the LP dual (y0, y)."""
     res = scipy.optimize.linprog(
-        _conditional(frame, u), A_eq=np.vstack([np.ones(len(u)), u.T]),
+        _frame_entropy(frame, u), A_eq=np.vstack([np.ones(len(u)), u.T]),
         b_eq=np.array([1.0, 0.0, 0.0, 0.0]), method="highs-ds",
         options={"primal_feasibility_tolerance": 1e-10,
                  "dual_feasibility_tolerance": 1e-10})
@@ -558,11 +584,11 @@ def _kkt_system(frame, c, u, y, y0):
     y0.
     """
     k = len(c)
-    f, grad, hess = _conditional_terms(frame, u)
     bases = _tangent_bases(u)
+    f, grad, hess = _frame_terms(frame, u, bases)
     gy = grad - y
     slope = np.einsum("kab,ka->kb", bases, gy)
-    curv = _tangent_curvature(bases, u, hess, gy)
+    curv = _tangent_curvature(u, hess, gy)
     res = np.concatenate([f - y0 - u @ y, slope.ravel(), [c.sum() - 1],
                           c @ u])
     jac = np.zeros((3 * k + 4, 3 * k + 4))
@@ -623,28 +649,6 @@ def _polish_measurement(frame, c, u, y, y0, iterations=30):
     return c, u, y, y0
 
 
-def _conditional_min(frame, y, starts):
-    """min over the sphere of f(u) - y.u: grid, then polish.
-
-    The three best grid points and the given starts are polished by
-    Newton steps on the sphere. Returns (value, u).
-    """
-    vals = _conditional(frame, _GRID) - _GRID @ y
-    starts = np.concatenate([_GRID[np.argsort(vals)[:3]], starts])
-
-    def terms(u):
-        f, grad, hess = _conditional_terms(frame, u[None])
-        bases = _tangent_bases(u[None])
-        gy = grad - y
-        slope = bases[0].T @ gy[0]
-        curv = _tangent_curvature(bases, u[None], hess, gy)[0]
-        return y @ u - f[0], -slope, -curv
-
-    u, val = max((_ascend(terms, _move_on_sphere, u0) for u0 in starts),
-                 key=lambda p: p[1])
-    return -val, u
-
-
 def _correlation_primal_dual(rho_ab, side):
     """Certified minimum of the measured conditional entropy.
 
@@ -657,19 +661,18 @@ def _correlation_primal_dual(rho_ab, side):
     remote = numkit.partial_trace(rho_ab, 2, 2, 1 if measured_first else 2)
     s_remote = von_neumann_entropy(remote)
     points = _GRID
-    for k in range(_CORRELATION_ROUNDS):
+    for k in range(_ROUNDS):
         c, y0, y = _measurement_lp(frame, points)
         c, u = _cluster(c, points)
         c, u, y, y0 = _polish_measurement(frame, c, u, y, y0)
-        low, u_star = _conditional_min(frame, y, u)
-        cond = c @ _conditional(frame, u)
-        if cond - low <= _CORRELATION_TARGET_GAP or \
-                k == _CORRELATION_ROUNDS - 1:
+        # sum c f(u) >= y0 + min(f - y0 - y.u) for every POVM
+        low, u_star = _sphere_min(frame, y0, y, u)
+        low += y0
+        cond = c @ _frame_entropy(frame, u)
+        if cond - low <= _TARGET_GAP or k == _ROUNDS - 1:
             break
         # the antipode makes a projective measurement along u_star feasible
         points = np.vstack([_GRID, u, u_star, -u_star])
-    # allowance for rounding in f (below 2 bits) and in y.u
-    low -= 256 * np.finfo(float).eps * (1 + np.linalg.norm(y))
     povm = Povm([2 * ck * _bloch_rho(uk) for ck, uk in zip(c, u)])
     value = _correlation_value(rho_ab, povm.elements, measured_first,
                                s_remote)
@@ -701,9 +704,7 @@ def classical_correlations(rho_ab, side="b"):
     if side not in ("a", "b"):
         raise ValueError("side must be 'a' or 'b'")
     value, bound, _ = _correlation_primal_dual(rho_ab, side)
-    if bound - value > 1e-8:
-        raise RuntimeError("classical correlations not certified: POVM "
-                           "%.12f, dual bound %.12f" % (value, bound))
+    _certify(value, bound, "classical correlations")
     return max(0.0, float(value))
 
 
@@ -813,7 +814,5 @@ def fidelity_optimize_one_side(rho_ab):
     """
     rho_ab = numkit.require_density(rho_ab, 4)[0]
     val, bound, ch = _fidelity_primal_dual(_fidelity_weight_matrix(rho_ab))
-    if bound - val > 1e-8:
-        raise RuntimeError("fidelity optimum not certified: primal %.12f, "
-                           "dual bound %.12f" % (val, bound))
+    _certify(val, bound, "fidelity optimum")
     return val, ch

@@ -89,11 +89,6 @@ class Channel:
         return apply(self, rho)
 
 
-def from_kraus(kraus, require_tp=False):
-    """Build a Channel from a Kraus operator list."""
-    return Channel(kraus, require_tp=require_tp)
-
-
 def choi(ch):
     """The ChoiPair of a channel."""
     return ch.choi_pair

@@ -15,7 +15,9 @@ ellipsoid command emits a one-row CSV with the Bloch image geometry.
 
 Exit status is 0 when every requested analysis completed (an analysis
 that reports its own hypothesis failure, like the rank-2 capacity
-formula on a non-unital channel, still counts as completed), 2 for file
+formula on a non-unital channel, still counts as completed), 1 when a
+computation failed its own check (an optimizer whose bound is not
+certified, a decomposition part off the trace condition), 2 for file
 or usage errors.
 """
 
@@ -290,7 +292,8 @@ ANALYSES = ("choi", "rank", "extremality", "eb", "normal_forms",
 
 
 def _run_analysis(name, ch, tol):
-    """One named analysis; hypothesis failures become a 'skipped' entry."""
+    """One named analysis; hypothesis failures (ValueError) become a
+    'skipped' entry, failed self-checks (RuntimeError) propagate."""
     try:
         if name == "choi":
             jam_w = np.linalg.eigvalsh(ch.jam)
@@ -345,7 +348,7 @@ def _run_analysis(name, ch, tol):
             except ValueError as exc:
                 out["quantum_capacity"] = {"skipped": str(exc)}
             return out
-    except (ValueError, RuntimeError) as exc:
+    except ValueError as exc:
         return {"skipped": str(exc)}
     raise ValueError("unknown analysis %r" % name)
 
@@ -480,12 +483,12 @@ def main(argv=None):
                 print("\n".join(_decompose_text(report)))
         else:
             cmd_ellipsoid(args.path, args.out_csv)
-    except ChannelFileError as exc:
+    except (ChannelFileError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except RuntimeError as exc:
         print("error: %s" % exc, file=sys.stderr)
-        return 2
+        return 1
     return 0
 
 

@@ -219,48 +219,38 @@ def decompose_into_extremals(ch):
     return [(float(w / total), _tp_channel(e, v)) for w, e in parts]
 
 
-def _singular_combination(ks, rng, retries=32):
-    """Coefficients c with det(sum_i c_i A_i) = 0, via roots on a line.
+def _singular_combination(ks):
+    """Coefficients c with det(sum_i c_i A_i) = 0, constructed.
 
-    Parameterize c = c0 + t*c1 with random complex directions; the
-    determinant is then a degree-n polynomial in t solved by its
-    companion matrix. Retries with new lines on conditioning failures.
+    The candidates are c = e_i and, with A_i the best conditioned
+    operator, c = e_j + lam e_i for the eigenvalues lam of -A_i^-1 A_j,
+    where det(A_j + lam A_i) = 0. The one with the smallest last
+    singular value per |c| is kept; RuntimeError if that exceeds 1e-7.
     """
     m = len(ks)
-    n = ks[0].shape[0]
     if m == 1:
         raise ValueError("need at least two operators")
-    for _ in range(retries):
-        c0 = rng.normal(size=m) + 1j * rng.normal(size=m)
-        c1 = rng.normal(size=m) + 1j * rng.normal(size=m)
-        # sample det at n+1 points and fit the degree-n polynomial exactly
-        ts = np.linspace(-1, 1, n + 1)
-        dets = [np.linalg.det(sum((c0[i] + t * c1[i]) * ks[i]
-                                  for i in range(m))) for t in ts]
-        coeffs = np.polyfit(ts, dets, n)
-        lead = np.abs(coeffs).max()
-        candidates = [c0]
-        if lead >= 1e-12:
-            coeffs = coeffs / lead
-            nz = np.nonzero(np.abs(coeffs) > 1e-10)[0]
-            if nz.size and nz[0] < len(coeffs) - 1:
-                for t in np.roots(coeffs[nz[0]:]):
-                    candidates.append(c0 + t * c1)
-        # lead ~ 0 means the determinant vanishes on the whole line (the
-        # operator span sits inside the singular variety) and c0 already works
-        best, best_sv = None, np.inf
-        for c in candidates:
-            mat = sum(c[i] * ks[i] for i in range(m))
-            sv = numkit.svd(mat)[1]
-            if sv[-1] < best_sv:
-                best, best_sv = c, sv[-1]
-        if best is not None and best_sv <= 1e-7 * max(1.0, np.linalg.norm(best)):
-            return best
-    raise RuntimeError("no singular combination found; conditioning kept "
-                       "failing across retries")
+    eye = np.eye(m)
+    cands = list(eye)
+    sv = [np.linalg.svd(a, compute_uv=False) for a in ks]
+    i = int(np.argmax([s[-1] / s[0] for s in sv]))
+    if sv[i][-1] > 1e-7:  # else e_i passes already
+        for j in range(m):
+            if j != i:
+                lams = np.linalg.eigvals(-np.linalg.solve(ks[i], ks[j]))
+                cands.extend(eye[j] + lam * eye[i] for lam in lams)
+
+    def score(c):
+        mat = np.tensordot(c, ks, 1)
+        return np.linalg.svd(mat, compute_uv=False)[-1] / np.linalg.norm(c)
+
+    best = min(cands, key=score)
+    if score(best) > 1e-7:
+        raise RuntimeError("no singular combination of the operators found")
+    return best
 
 
-def rank_reducing_input(ch, seed=0):
+def rank_reducing_input(ch):
     """A pure input whose image has rank below the channel rank.
 
     For a TP channel of rank m with 2 <= m <= n, returns
@@ -275,8 +265,7 @@ def rank_reducing_input(ch, seed=0):
     if m < 2:
         raise ValueError("a unitary (rank-1) channel maps pure states to "
                          "pure states; no rank drop exists")
-    rng = np.random.default_rng(seed)
-    c = _singular_combination(ks, rng)
+    c = _singular_combination(ks)
     mat = sum(c[i] * ks[i] for i in range(m))
     psi = numkit.svd(mat)[2][:, -1]
     # the image of psi psi^dag is supported on span{A_i psi}, which has
@@ -287,7 +276,7 @@ def rank_reducing_input(ch, seed=0):
     return psi, chi_space[:, 0], chi_space
 
 
-def orthogonal_product_states(rho, m=None, seed=0):
+def orthogonal_product_states(rho, m=None):
     """Product vectors a (x) b orthogonal to a rank-m state on n (x) n.
 
     Returns at least n - m + 1 linearly independent product vectors with
@@ -319,8 +308,7 @@ def orthogonal_product_states(rho, m=None, seed=0):
             for j in range(kern.shape[1]):
                 states.append(np.kron(kern[:, j], b.conj()))
     else:
-        rng = np.random.default_rng(seed)
-        c = _singular_combination(bs, rng)
+        c = _singular_combination(bs)
         mat = sum(c[i] * bs[i] for i in range(m))
         bbar = numkit.svd(mat)[2][:, -1]
         # a must be orthogonal to every range vector B_i bbar; their span

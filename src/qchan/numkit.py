@@ -29,15 +29,6 @@ def mat_to_vec(a):
     return np.asarray(a, dtype=complex).reshape(-1)
 
 
-def vec_to_mat(v, rows, cols):
-    """Inverse of mat_to_vec."""
-    v = np.asarray(v, dtype=complex)
-    if v.size != rows * cols:
-        raise ValueError("vector of length %d does not fill a %dx%d matrix"
-                         % (v.size, rows, cols))
-    return v.reshape(rows, cols)
-
-
 def _check_bipartite(m, dim_a, dim_b):
     m = np.asarray(m, dtype=complex)
     if m.shape != (dim_a * dim_b, dim_a * dim_b):

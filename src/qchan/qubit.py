@@ -616,6 +616,14 @@ class ExtremalQubitForm:
         return channel.Channel(self.kraus(), require_tp=True)
 
 
+def _two_angle_form(alpha, beta, u, v):
+    """ExtremalQubitForm at angles (alpha, beta) with s0, s1 from them."""
+    s0 = np.sqrt(max((1 - np.cos(alpha + beta)) / 2, 0.0))
+    s1 = np.sqrt(max((1 - np.cos(alpha - beta)) / 2, 0.0))
+    return ExtremalQubitForm(float(alpha), float(beta), float(s0), float(s1),
+                             u, v)
+
+
 def canonical_extremal(alpha, beta):
     """The canonical extremal channel at angles (alpha, beta).
 
@@ -624,12 +632,8 @@ def canonical_extremal(alpha, beta):
     (pi, 0); sin(alpha) sin(beta) = 0 degenerates to a mixture of
     commuting unitaries, which is not extremal (unless it is unitary).
     """
-    s0 = np.sqrt(max((1 - np.cos(alpha + beta)) / 2, 0.0))
-    s1 = np.sqrt(max((1 - np.cos(alpha - beta)) / 2, 0.0))
-    a1 = np.diag([s0, s1]).astype(complex)
-    a2 = np.array([[0, np.sqrt(max(1 - s1 ** 2, 0.0))],
-                   [np.sqrt(max(1 - s0 ** 2, 0.0)), 0]], dtype=complex)
-    return channel.Channel([a1, a2], require_tp=True)
+    eye = np.eye(2, dtype=complex)
+    return _two_angle_form(alpha, beta, eye, eye).reconstruct()
 
 
 def _rotation_between(a, b):
@@ -736,8 +740,7 @@ def extremal_form_of(ch):
         raise ValueError("channel has rank %d > 2" % len(ks))
     if len(ks) == 1:
         u = ks[0]
-        form = ExtremalQubitForm(np.pi, 0.0, 1.0, 1.0, u,
-                                 np.eye(2, dtype=complex))
+        form = _two_angle_form(np.pi, 0.0, u, np.eye(2, dtype=complex))
         if np.abs(form.reconstruct().choi - ch.choi).max() > 1e-9:
             raise RuntimeError("unitary reconstruction failed")
         return form
@@ -767,11 +770,7 @@ def extremal_form_of(ch):
                 o_out, o_in = fit
                 u = su2_from_so3(o_out)
                 vd = su2_from_so3(o_in)
-                s0 = np.sqrt(max((1 - np.cos(alpha + beta)) / 2, 0.0))
-                s1 = np.sqrt(max((1 - np.cos(alpha - beta)) / 2, 0.0))
-                form = ExtremalQubitForm(float(alpha), float(beta),
-                                         float(s0), float(s1),
-                                         u, vd.conj().T)
+                form = _two_angle_form(alpha, beta, u, vd.conj().T)
                 if np.abs(form.reconstruct().choi - ch.choi).max() <= 1e-9:
                     return form
     raise RuntimeError("no canonical angle pair reproduces the channel")

@@ -116,7 +116,7 @@ def test_holevo_chi_known_values(ch, value, tol):
 def test_holevo_chi_raises_on_a_wide_gap(monkeypatch):
     # the unpolished Blahut-Arimoto ensemble is far from optimal
     monkeypatch.setattr(capacity, "_polish_ensemble",
-                        lambda lam, t, w, u: (w, u))
+                        lambda frame, w, u: (w, u))
     with pytest.raises(RuntimeError, match="not certified"):
         capacity.holevo_chi(channel.amplitude_damping(0.5))
 
@@ -172,6 +172,44 @@ def test_holevo_chi_unital_closed_form(seed, m):
     top = np.linalg.svd(qubit.ptm(ch).lam, compute_uv=False)[0]
     assert abs(res.chi - (1 - capacity.binary_entropy((1 + top) / 2))) <= 1e-8
     assert 0 <= res.upper_bound - res.chi <= 1e-8
+
+
+@settings(max_examples=10, deadline=None)
+@given(_SEEDS, st.floats(-15, -5), st.integers(1, 4))
+# two unitaries: the axis of their relative rotation stays pure, chi = 1
+@example(0, -5.0, 1)
+def test_holevo_chi_near_unitary(seed, log_eps, rank):
+    """(1 - eps) U + eps N: nearly pure outputs on the whole sphere."""
+    rng = np.random.default_rng(seed)
+    eps = 10 ** log_eps
+    noise = random_tp_channel(rng, 2, rank).kraus
+    ch = channel.Channel([np.sqrt(1 - eps) * random_unitary(rng, 2)]
+                         + [np.sqrt(eps) * k for k in noise])
+    res = capacity.holevo_chi(ch)
+    assert 0 <= res.upper_bound - res.chi <= 1e-8
+    assert abs(_ensemble_chi(ch, res.ensemble.items) - res.chi) <= 1e-9
+    assert _cardinal_pair_chi(ch) - 1e-12 <= res.chi <= 1
+
+
+def test_sphere_hessian_of_unitary_channels_vanishes():
+    """f(u) = H(O u) is 0 on the sphere for a rotation O, so is its
+    Hessian along the sphere: the radial curvature of the pure outputs
+    (c2 ~ 5e11) must not leak into the tangent planes."""
+    rng = np.random.default_rng(12)
+    worst = 0.0
+    for _ in range(200):
+        q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+        o = q * np.sign(np.diagonal(r))
+        o *= np.linalg.det(o)
+        u = rng.normal(size=(4, 3))
+        u /= np.linalg.norm(u, axis=1)[:, None]
+        frame = (np.zeros(3), np.zeros(3), o.T)
+        f, grad, hess = capacity._frame_terms(frame, u,
+                                              capacity._tangent_bases(u))
+        assert np.abs(f).max() <= 1e-12
+        curv = capacity._tangent_curvature(u, hess, grad)
+        worst = max(worst, np.abs(curv).max())
+    assert worst <= 1e-12
 
 
 def test_chi_given_average_known_value():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qchan import channel, cli
+from qchan import capacity, channel, cli, extremal
 from conftest import random_density
 
 
@@ -122,6 +122,35 @@ def test_analyze_gate_failure_not_fatal(tmp_path, capsys):
     assert report["results"]["rank"]["value"] == 1
     assert "skipped" in report["results"]["eb"]
     assert "skipped" in report["results"]["normal_forms"]
+
+
+def _one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+    return err
+
+
+def test_analyze_uncertified_chi_exits_one(tmp_path, capsys, monkeypatch):
+    # a failed certificate is a failure of the run, not a skipped analysis
+    monkeypatch.setattr(capacity, "_polish_ensemble",
+                        lambda frame, w, u: (w, u))
+    path = write_doc(tmp_path, "ad.json",
+                     {"builder": "amplitude_damping", "gamma": 0.5})
+    assert run(["analyze", path, "--capacities"]) == 1
+    assert "not certified" in _one_error_line(capsys)
+
+
+def test_decompose_self_check_failure_exits_one(tmp_path, capsys,
+                                                monkeypatch):
+    def off_trace(f, v):
+        raise RuntimeError("extremal part is off the trace condition")
+
+    monkeypatch.setattr(extremal, "_tp_channel", off_trace)
+    path = write_doc(tmp_path, "dep.json",
+                     {"builder": "depolarizing", "p": 0.5})
+    assert run(["decompose", path]) == 1
+    assert "trace condition" in _one_error_line(capsys)
 
 
 def test_analyze_malformed_exits_nonzero(tmp_path, capsys):
