@@ -17,7 +17,6 @@ channel's or the state's Bloch frame.
 """
 
 import numpy as np
-import scipy.optimize
 
 from . import numkit, channel, extremal, qubit
 
@@ -286,21 +285,23 @@ def _cluster(w, dirs):
     group join it. Four is enough: an optimal qubit ensemble needs at
     most four pure states, an optimal qubit POVM at most four outcomes.
     """
-    groups = []
-    for j in np.argsort(-w):
-        if w[j] < 1e-4 * w.max():
-            break
-        for grp in groups:
-            if dirs[j] @ grp[1] / np.linalg.norm(grp[1]) > np.cos(0.35):
-                grp[0] += w[j]
-                grp[1] += w[j] * dirs[j]
-                break
+    order = np.argsort(-w)
+    order = order[w[order] >= 1e-4 * w.max()]
+    mass = np.zeros(order.size)
+    total = np.zeros((order.size, 3))  # weighted direction sums
+    unit = np.zeros((order.size, 3))  # their unit directions
+    n, near = 0, np.cos(0.35)
+    for j in order:
+        hit = np.flatnonzero(unit[:n] @ dirs[j] > near)
+        if hit.size:
+            g = hit[0]
         else:
-            groups.append([w[j], w[j] * dirs[j]])
-    groups = sorted(groups, key=lambda grp: -grp[0])[:4]
-    ws = np.array([grp[0] for grp in groups])
-    us = np.array([grp[1] / np.linalg.norm(grp[1]) for grp in groups])
-    return ws / ws.sum(), us
+            g, n = n, n + 1
+        mass[g] += w[j]
+        total[g] += w[j] * dirs[j]
+        unit[g] = total[g] / np.sqrt(total[g] @ total[g])
+    top = np.argsort(-mass[:n], kind="stable")[:4]
+    return mass[top] / mass[top].sum(), unit[top]
 
 
 # --- Holevo quantity ----------------------------------------------------------
@@ -565,6 +566,7 @@ def _correlation_frame(rho_ab, measured_first):
 def _measurement_lp(frame, u):
     """Weights c >= 0 on directions u minimizing sum c f(u) subject to
     sum c = 1 and sum c u = 0, with the LP dual (y0, y)."""
+    import scipy.optimize  # here only: it is most of an import's time
     res = scipy.optimize.linprog(
         _frame_entropy(frame, u), A_eq=np.vstack([np.ones(len(u)), u.T]),
         b_eq=np.array([1.0, 0.0, 0.0, 0.0]), method="highs-ds",
@@ -788,6 +790,7 @@ def _fidelity_primal_dual(m):
     of M - Z (x) I; each eigenspace dimension is tried, the best kept.
     Returns (primal value, dual bound, Channel).
     """
+    import scipy.optimize  # here only: it is most of an import's time
     z = np.zeros(3)
     for t in _TEMPERATURES:
         z = scipy.optimize.minimize(_smoothed_dual, z, args=(m, t), jac=True,

@@ -11,7 +11,6 @@ det(sum_i c_i A_i) yield rank-reducing inputs.
 import collections
 
 import numpy as np
-import scipy.linalg
 
 from . import numkit, channel
 
@@ -300,9 +299,11 @@ def orthogonal_product_states(rho, m=None):
     bs = [x[:, k].reshape(n, n) for k in range(m)]
     states = []
     if m == 1:
+        scale = np.abs(bs[0]).max()
         for k in range(n):
-            col = bs[0][:, k]
-            kern = scipy.linalg.null_space(col.reshape(1, n).conj())
+            # the kernel of <col|; a zero column leaves all of C^n
+            _, sv, basis = numkit.svd(bs[0][:, k].reshape(1, n).conj())
+            kern = basis[:, int(sv[0] > 1e-12 * scale):]
             b = np.zeros(n, dtype=complex)
             b[k] = 1
             for j in range(kern.shape[1]):

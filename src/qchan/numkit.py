@@ -6,7 +6,6 @@ and all factorizations are residual-checked against their inputs.
 """
 
 import numpy as np
-import scipy.linalg
 
 HERM_TOL = 1e-12
 PSD_TOL = 1e-9  # eigenvalues of a PSD matrix down to -PSD_TOL are rounding
@@ -119,13 +118,37 @@ def svd(m):
     return u, s, v
 
 
+_FRAME_MIX = np.sqrt(2.0) - 0.5  # generic: X + c Y splits what z splits
+
+
+def _symmetric_unitary_root(z):
+    """Symmetric unitary q with q q = z, for a symmetric unitary z.
+
+    z = X + iY with X, Y real symmetric and commuting (z z^dag = I), so
+    one real orthogonal O diagonalizes both: O comes from X + c Y at a
+    generic c. Then q = O diag(root) O^T, symmetric by construction.
+    Each eigenphase takes its root with the branch cut through the
+    widest gap between the phases: any choice of signs squares to z, but
+    this one gives a cluster straddling -1 one root, so q stays
+    continuous in z. A z that is not symmetric (the coupling of a zero
+    singular value is arbitrary) still gets a symmetric unitary q.
+    """
+    o = np.linalg.eigh(z.real + _FRAME_MIX * z.imag)[1]
+    phase = np.angle(np.einsum("ij,ik,kj->j", o, z, o))
+    ring = np.sort(phase)
+    gaps = np.diff(np.append(ring, ring[0] + 2 * np.pi))
+    cut = ring[np.argmax(gaps)] + gaps.max() / 2
+    phase = cut - np.mod(cut - phase, 2 * np.pi)
+    return (o * np.exp(0.5j * phase)) @ o.T
+
+
 def takagi(s, tol=1e-12):
     """Factor a complex symmetric matrix as s = V diag(sig) V^T.
 
     Returns (v, sig) with sig nonnegative descending and v unitary.
     Built on the SVD: group columns by singular-value multiplicity, then
-    absorb the unitary coupling Z = V_g^T W_g of each group through its
-    principal square root.
+    absorb the symmetric unitary coupling Z = U_g^T V_g of each group
+    through a symmetric unitary square root.
     """
     s = np.asarray(s, dtype=complex)
     scale = max(np.abs(s).max(), 1.0)
@@ -141,8 +164,7 @@ def takagi(s, tol=1e-12):
             groups.append([k])
     q = np.zeros((sig.size, sig.size), dtype=complex)
     for g in groups:
-        z = u[:, g].T @ v[:, g]
-        q[np.ix_(g, g)] = scipy.linalg.sqrtm(z)
+        q[np.ix_(g, g)] = _symmetric_unitary_root(u[:, g].T @ v[:, g])
     vt = u @ q.conj()
     if np.abs((vt * sig) @ vt.T - s).max() > 1e-10 * scale:
         raise ArithmeticError("takagi reconstruction residual too large")

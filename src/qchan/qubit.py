@@ -13,7 +13,6 @@ entanglement fidelity a channel can transmit.
 import itertools
 
 import numpy as np
-import scipy.linalg
 
 from . import numkit, channel
 from .numkit import SX, SY, SZ
@@ -571,8 +570,8 @@ def slocc_normal_form(ch):
                + t[2] * SZ) / 2
         w, v = numkit.eigh(rho)
         psi = v[:, -1]
-        kern = scipy.linalg.null_space(psi.reshape(1, 2).conj())
-        b = np.stack([psi, kern[:, 0]], axis=1)
+        perp = numkit.svd(psi.reshape(1, 2).conj())[2][:, 1]
+        b = np.stack([psi, perp], axis=1)
         b = b / np.sqrt(np.linalg.det(b))
         form = SloccNormalForm("Point", np.eye(2, dtype=complex), b, 1.0)
         if np.abs(form.reconstructed_r() - r).max() <= 1e-6:
@@ -709,7 +708,9 @@ def _align_rotations(lam_c, t_c, lam_h, t_h):
         flips.append(np.array([1.0, 1.0, -1.0]))
     for blocks in itertools.product(*[_block_maps(a[g], b[g])
                                       for g in groups]):
-        d = scipy.linalg.block_diag(*blocks)
+        d = np.zeros((3, 3))
+        for g, block in zip(groups, blocks):
+            d[np.ix_(g, g)] = block
         o_out = uh @ d @ uc.T
         if np.linalg.det(o_out) < 0:
             continue
@@ -921,9 +922,10 @@ def equal_concurrence_decomposition(rho):
         if r == 3:
             xpp = np.hstack([xpp, np.zeros((4, 1), dtype=complex)])
         k = xpp.shape[1]
-        had = np.array([[1.0]]) if k == 1 else scipy.linalg.hadamard(k) \
-            / np.sqrt(k)
-        z = xpp @ had
+        had = np.ones((1, 1))
+        while had.shape[0] < k:  # Sylvester: k is 1, 2 or 4
+            had = np.kron(had, [[1.0, 1.0], [1.0, -1.0]])
+        z = xpp @ (had / np.sqrt(k))
     weights, states = [], []
     for i in range(z.shape[1]):
         w = float(np.linalg.norm(z[:, i]) ** 2)

@@ -191,6 +191,40 @@ def test_holevo_chi_near_unitary(seed, log_eps, rank):
     assert _cardinal_pair_chi(ch) - 1e-12 <= res.chi <= 1
 
 
+def _cluster_by_loop(w, dirs):
+    """The greedy merge written out: heaviest weight first, each joins
+    the first group whose running mean direction is within 0.35 rad."""
+    groups = []
+    for j in np.argsort(-w):
+        if w[j] < 1e-4 * w.max():
+            break
+        for grp in groups:
+            if dirs[j] @ grp[1] / np.linalg.norm(grp[1]) > np.cos(0.35):
+                grp[0] += w[j]
+                grp[1] += w[j] * dirs[j]
+                break
+        else:
+            groups.append([w[j], w[j] * dirs[j]])
+    groups = sorted(groups, key=lambda grp: -grp[0])[:4]
+    ws = np.array([grp[0] for grp in groups])
+    us = np.array([grp[1] / np.linalg.norm(grp[1]) for grp in groups])
+    return ws / ws.sum(), us
+
+
+def test_cluster_matches_the_greedy_loop():
+    rng = np.random.default_rng(21)
+    grid = capacity._GRID
+    draws = [rng.exponential(size=len(grid)) ** rng.uniform(1, 30)
+             for _ in range(300)]
+    draws.append(np.eye(len(grid))[7])  # a single weight
+    for w in draws:
+        ws, us = capacity._cluster(w, grid)
+        ws_loop, us_loop = _cluster_by_loop(w, grid)
+        assert ws.shape == ws_loop.shape and us.shape == us_loop.shape
+        assert np.abs(ws - ws_loop).max() <= 1e-15
+        assert np.abs(us - us_loop).max() <= 1e-15
+
+
 def test_sphere_hessian_of_unitary_channels_vanishes():
     """f(u) = H(O u) is 0 on the sphere for a rotation O, so is its
     Hessian along the sphere: the radial curvature of the pure outputs

@@ -226,3 +226,16 @@ def test_orthogonal_product_states_rank_one():
     assert len(states) >= 2
     for v in states:
         assert abs(v.conj() @ rho @ v) < 1e-10
+
+
+def test_orthogonal_product_states_zero_columns():
+    """|00> in 3 x 3: column 0 leaves a 2-dimensional kernel, each zero
+    column all of C^3, so 2 + 3 + 3 product states."""
+    e0 = np.eye(3)[0]
+    psi = np.kron(e0, e0).astype(complex)
+    rho = np.outer(psi, psi)
+    states = extremal.orthogonal_product_states(rho)
+    assert len(states) == 8
+    assert np.linalg.matrix_rank(np.array(states)) == 8
+    for v in states:
+        assert abs(v.conj() @ rho @ v) < 1e-12

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qchan import capacity, channel, extremal, numkit, qubit
 from conftest import random_density, random_unitary
@@ -96,6 +97,45 @@ def test_takagi_rank_deficient():
     v, s = numkit.takagi(a)
     assert np.abs(v @ np.diag(s) @ v.T - a).max() < 1e-8
     assert np.sum(s > 1e-10) == 2
+
+
+def test_takagi_repeated_minus_one():
+    """A repeated eigenvalue -1 of the unitary coupling, where no
+    principal square root exists."""
+    o = np.linalg.qr(np.random.default_rng(49).normal(size=(3, 3)))[0]
+    a = o @ np.diag([1.0, -1.0, -1.0]) @ o.T
+    v, s = numkit.takagi(a)
+    assert np.abs(s - 1).max() < 1e-12
+    assert np.abs(v @ np.diag(s) @ v.T - a).max() < 1e-10
+    assert np.abs(v.conj().T @ v - np.eye(3)).max() < 1e-10
+
+
+def test_symmetric_unitary_root_keeps_a_cluster_whole():
+    """Phases pi -+ 1e-9 straddle the principal branch cut; they get one
+    root, so the root of a near-scalar z stays near-scalar."""
+    o = np.linalg.qr(np.random.default_rng(3).normal(size=(2, 2)))[0]
+    z = o @ np.diag(np.exp(1j * np.pi * np.array([1 - 1e-9, 1 + 1e-9]))) @ o.T
+    q = numkit._symmetric_unitary_root(z)
+    assert np.abs(q @ q - z).max() < 1e-12
+    assert np.abs(q - q[0, 0] * np.eye(2)).max() < 1e-8
+
+
+_HALF_TURNS = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 1.5, 1 + 1e-9,
+                                         1 - 1e-9]),
+                        st.floats(0, 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 4), st.data())
+def test_takagi_symmetric_unitaries(seed, n, data):
+    """o diag(exp(i pi k)) o^T for a real orthogonal o: one singular
+    value n times over, with clustered and repeated phases."""
+    o = np.linalg.qr(np.random.default_rng(seed).normal(size=(n, n)))[0]
+    k = np.array(data.draw(st.lists(_HALF_TURNS, min_size=n, max_size=n)))
+    a = o @ np.diag(np.exp(1j * np.pi * k)) @ o.T
+    v, s = numkit.takagi(a)
+    assert np.abs(v @ np.diag(s) @ v.T - a).max() < 1e-10
+    assert np.abs(v.conj().T @ v - np.eye(n)).max() < 1e-10
 
 
 def test_sqrt_psd():

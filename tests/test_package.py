@@ -1,9 +1,21 @@
+import glob
+import json
 import os
 import subprocess
 import sys
 import types
 
+import pytest
+
 import qchan
+
+
+def run_python(*args, timeout=120):
+    src = os.path.dirname(os.path.dirname(qchan.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=timeout)
 
 
 def test_all_lists_the_documented_submodules():
@@ -17,11 +29,63 @@ def test_all_lists_the_documented_submodules():
 
 
 def test_cli_runs_as_a_module_without_warnings():
-    src = os.path.dirname(os.path.dirname(qchan.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-m", "qchan.cli",
-         "--help"], env=env, capture_output=True, text=True, timeout=120)
+    proc = run_python("-W", "error::RuntimeWarning", "-m", "qchan.cli",
+                      "--help")
     assert proc.returncode == 0, proc.stderr
     assert "usage: qchan" in proc.stdout
+
+
+SCIPY_PROBE = """
+import contextlib, io, json, os, sys
+import numpy as np
+
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+import qchan
+seen = {"import": scipy_loaded()}
+from qchan import capacity, cli
+workdir = sys.argv[1]
+path = os.path.join(workdir, "ad.json")
+with open(path, "w") as fh:
+    json.dump({"builder": "amplitude_damping", "gamma": 0.5}, fh)
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(["analyze", path, "--all"]),
+             cli.main(["decompose", path]),
+             cli.main(["ellipsoid", path, os.path.join(workdir, "e.csv")])]
+seen["cli"] = scipy_loaded()
+phi = np.array([1, 0, 0, 1]) / np.sqrt(2)
+capacity.classical_correlations(0.8 * np.outer(phi, phi) + 0.05 * np.eye(4))
+seen["classical_correlations"] = scipy_loaded()
+print(json.dumps({"codes": codes, "seen": seen}))
+"""
+
+
+def test_scipy_loads_only_for_the_bipartite_optimizers(tmp_path):
+    """import qchan and the structural CLI commands load numpy only.
+
+    Run in a fresh process: the test session itself has scipy loaded
+    (its LinAlgWarning filter imports scipy.linalg).
+    """
+    proc = run_python("-c", SCIPY_PROBE, str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert out["codes"] == [0, 0, 0]
+    assert out["seen"]["import"] == []
+    assert out["seen"]["cli"] == []
+    assert "scipy.optimize" in out["seen"]["classical_correlations"]
+
+
+DEMOS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), os.pardir,
+                                      "demos", "*.py")))
+
+
+def test_demos_are_found():
+    assert len(DEMOS) == 4
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=os.path.basename)
+def test_demo_runs_clean(demo):
+    proc = run_python("-W", "error::RuntimeWarning", demo)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout

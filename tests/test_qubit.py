@@ -491,6 +491,25 @@ def test_equal_concurrence_separable():
             assert 2 * abs(s[0] * s[3] - s[1] * s[2]) < 1e-8
 
 
+def test_equal_concurrence_separable_rank_three():
+    """Mixtures of three product pure states: rank 3, zero-padded to
+    the 4 x 4 Hadamard frame."""
+    rng = np.random.default_rng(16)
+    for _ in range(50):
+        rho = np.zeros((4, 4), dtype=complex)
+        for w in rng.dirichlet(np.ones(3)):
+            v = np.kron(random_pure(rng, 2), random_pure(rng, 2))
+            rho += w * np.outer(v, v.conj())
+        assert np.linalg.matrix_rank(rho, tol=1e-10) == 3
+        dec = qubit.equal_concurrence_decomposition(rho)
+        assert dec.c == 0.0
+        rebuilt = sum(w * np.outer(s, s.conj())
+                      for w, s in zip(dec.weights, dec.states))
+        assert np.abs(rebuilt - rho).max() < 1e-10
+        for s in dec.states:
+            assert 2 * abs(s[0] * s[3] - s[1] * s[2]) < 1e-8
+
+
 def test_kraus_contraction_form():
     rng = np.random.default_rng(15)
     for ch in (channel.amplitude_damping(0.4), channel.phase_flip(0.25),
