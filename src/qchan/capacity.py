@@ -95,8 +95,7 @@ def quantum_capacity_rank2_unital(ch):
     unitaries); anything outside that hypothesis is refused rather than
     extrapolated.
     """
-    if ch.dim != 2 or not channel.is_tp(ch):
-        raise ValueError("need a trace-preserving qubit channel")
+    qubit._require_qubit_tp(ch)
     if not channel.is_unital(ch):
         raise ValueError("channel is not unital; formula does not apply")
     if channel.rank(ch) > 2:
@@ -473,8 +472,7 @@ def holevo_chi(ch):
     matrices and its value recomputed from them. Raises RuntimeError if
     the upper bound is more than 1e-8 above that value.
     """
-    if ch.dim != 2 or not channel.is_tp(ch):
-        raise ValueError("need a trace-preserving qubit channel")
+    qubit._require_qubit_tp(ch)
     p = qubit.ptm(ch)
     w, u, val, upper = _chi_primal_dual((np.zeros(3), p.t, p.lam.T))
     ens = Ensemble([(wk, _bloch_rho(uk)) for wk, uk in zip(w, u)])
@@ -504,8 +502,7 @@ def chi_given_average(ch, rho_avg):
     rho_avg, and f(C) = H((1 + sqrt(1-C^2))/2). Returns
     S(out of rho_avg) - f(C). Unitary channels give f = 0.
     """
-    if ch.dim != 2 or not channel.is_tp(ch):
-        raise ValueError("need a trace-preserving qubit channel")
+    qubit._require_qubit_tp(ch)
     rho_avg = numkit.require_hermitian(np.asarray(rho_avg, dtype=complex))
     ks = channel.kraus_from_choi(ch.choi_pair)
     if len(ks) == 1:

@@ -299,8 +299,6 @@ def _run_analysis(name, ch, tol):
             jam_w = np.linalg.eigvalsh(ch.jam)
             return {"matrix": _encode_matrix(ch.choi),
                     "jam_eigenvalues": [float(x) for x in jam_w]}
-        if name == "rank":
-            return {"value": channel.rank(ch, tol=max(tol, 1e-12))}
         if name == "extremality":
             return {"extremal": bool(extremal.is_extremal_tp(ch)),
                     "method": "kraus-product rank test"}
@@ -360,15 +358,18 @@ def cmd_analyze(path, flags):
     selected = [name for name in ANALYSES if getattr(flags, name, False)]
     if getattr(flags, "all", False) or not selected:
         selected = list(ANALYSES)
+    # one rank, at the requested tolerance, for the summary and the analysis
+    rank = channel.rank(ch, tol=max(flags.tol, 1e-12))
     summary = {"dim": ch.dim,
-               "rank": channel.rank(ch),
+               "rank": rank,
                "trace_preserving": bool(ch.trace_preserving),
                "unital": bool(channel.is_unital(ch)),
                "cp": True,
                "source": source}
     results = {}
     for name in selected:
-        results[name] = _run_analysis(name, ch, flags.tol)
+        results[name] = ({"value": rank} if name == "rank"
+                         else _run_analysis(name, ch, flags.tol))
     if getattr(flags, "emit_choi", None):
         write_choi_file(flags.emit_choi, ch)
     provenance = {"tol": flags.tol, "format": flags.format}

@@ -14,7 +14,7 @@ import itertools
 
 import numpy as np
 
-from . import numkit, channel
+from . import numkit, channel, extremal
 from .numkit import SX, SY, SZ
 
 PAULIS = [np.eye(2, dtype=complex), SX, SY, SZ]
@@ -592,22 +592,25 @@ class ExtremalQubitForm:
     """Two-angle form of an extremal qubit channel.
 
     Kraus operators are u @ diag(s0, s1) @ v^dag and
-    u @ [[0, sqrt(1-s1^2)], [sqrt(1-s0^2), 0]] @ v^dag.
+    u @ [[0, c1], [c0, 0]] @ v^dag with s0, c0 = |sin|, |cos| of
+    (alpha + beta) / 2 and s1, c1 = |sin|, |cos| of (alpha - beta) / 2.
+    Half angles keep each entry to rounding; sqrt(1 - s^2) and
+    sqrt((1 - cos) / 2) would lose digits near s = 1 and cos = 1.
     """
 
-    def __init__(self, alpha, beta, s0, s1, u, v):
-        self.alpha = alpha
-        self.beta = beta
-        self.s0 = s0
-        self.s1 = s1
+    def __init__(self, alpha, beta, u, v):
+        self.alpha = float(alpha)
+        self.beta = float(beta)
+        self.s0 = abs(float(np.sin((self.alpha + self.beta) / 2)))
+        self.s1 = abs(float(np.sin((self.alpha - self.beta) / 2)))
         self.u = u
         self.v = v
 
     def kraus(self):
+        c0 = abs(np.cos((self.alpha + self.beta) / 2))
+        c1 = abs(np.cos((self.alpha - self.beta) / 2))
         a1 = np.diag([self.s0, self.s1]).astype(complex)
-        a2 = np.array([[0, np.sqrt(max(1 - self.s1 ** 2, 0.0))],
-                       [np.sqrt(max(1 - self.s0 ** 2, 0.0)), 0]],
-                      dtype=complex)
+        a2 = np.array([[0, c1], [c0, 0]], dtype=complex)
         vd = self.v.conj().T
         return [self.u @ a1 @ vd, self.u @ a2 @ vd]
 
@@ -615,24 +618,18 @@ class ExtremalQubitForm:
         return channel.Channel(self.kraus(), require_tp=True)
 
 
-def _two_angle_form(alpha, beta, u, v):
-    """ExtremalQubitForm at angles (alpha, beta) with s0, s1 from them."""
-    s0 = np.sqrt(max((1 - np.cos(alpha + beta)) / 2, 0.0))
-    s1 = np.sqrt(max((1 - np.cos(alpha - beta)) / 2, 0.0))
-    return ExtremalQubitForm(float(alpha), float(beta), float(s0), float(s1),
-                             u, v)
-
-
 def canonical_extremal(alpha, beta):
     """The canonical extremal channel at angles (alpha, beta).
 
-    s0 = sqrt((1 - cos(alpha+beta))/2), s1 = sqrt((1 - cos(alpha-beta))/2);
-    trace preservation holds for every angle pair. The identity sits at
+    s0 = |sin((alpha+beta)/2)|, s1 = |sin((alpha-beta)/2)|; trace
+    preservation holds for every angle pair. For alpha <= beta and
+    alpha + beta <= pi the distortion is diag(cos a, -cos b, -cos a cos b)
+    and the translation (0, 0, sin a sin b). The identity sits at
     (pi, 0); sin(alpha) sin(beta) = 0 degenerates to a mixture of
     commuting unitaries, which is not extremal (unless it is unitary).
     """
     eye = np.eye(2, dtype=complex)
-    return _two_angle_form(alpha, beta, eye, eye).reconstruct()
+    return ExtremalQubitForm(alpha, beta, eye, eye).reconstruct()
 
 
 def _rotation_between(a, b):
@@ -652,129 +649,40 @@ def _rotation_between(a, b):
     return np.eye(3) + vx + vx @ vx * ((1 - c) / (s * s))
 
 
-def _block_maps(a, b):
-    """Orthogonal maps D with D a = b, one per determinant where one exists.
-
-    When a vanishes every orthogonal map qualifies, and the identity and
-    a reflection stand for both determinants.
-    """
-    n = a.size
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na <= 1e-9:
-        flip = np.eye(n)
-        flip[-1, -1] = -1.0
-        return [np.eye(n), flip]
-    if abs(na - nb) > 1e-8:
-        return []
-    if n == 1:
-        return [np.eye(1) if a[0] * b[0] > 0 else -np.eye(1)]
-    ua, ub = a / na, b / nb
-    if n == 2:
-        c, sn = ua @ ub, ua[0] * ub[1] - ua[1] * ub[0]
-        rot = np.array([[c, -sn], [sn, c]])
-        perp = np.array([-ua[1], ua[0]])
-    else:
-        rot = _rotation_between(ua, ub)
-        perp = np.cross(ua, np.eye(3)[int(np.argmin(np.abs(ua)))])
-        perp /= np.linalg.norm(perp)
-    # the reflection through the plane normal to perp fixes ua
-    return [rot, rot @ (np.eye(n) - 2 * np.outer(perp, perp))]
-
-
-def _align_rotations(lam_c, t_c, lam_h, t_h):
-    """Rotations with o_out lam_c o_in = lam_h and o_out t_c = t_h.
-
-    With lam_c = U_c S V_c^T and lam_h = U_h S V_h^T, every solution is
-    o_out = U_h D U_c^T and o_in = V_c D'^T V_h^T for an orthogonal D,
-    block diagonal over groups of equal singular values, and D' = D up to
-    a sign on a zero singular value. The translation leaves each block
-    the rotation or the reflection that sends (U_c^T t_c)_G to
-    (U_h^T t_h)_G, or both determinants when that part vanishes. The
-    first proper pair that passes both checks is returned, else None.
-    """
-    uc, sc, vct = np.linalg.svd(lam_c)
-    uh, sh, vht = np.linalg.svd(lam_h)
-    if np.abs(sc - sh).max() > 1e-8:
-        return None
-    groups = []
-    for k in range(3):
-        if groups and sh[groups[-1][-1]] - sh[k] <= 1e-8:
-            groups[-1].append(k)
-        else:
-            groups.append([k])
-    a, b = uc.T @ t_c, uh.T @ t_h
-    flips = [np.ones(3)]
-    if sh[2] <= 1e-12:
-        flips.append(np.array([1.0, 1.0, -1.0]))
-    for blocks in itertools.product(*[_block_maps(a[g], b[g])
-                                      for g in groups]):
-        d = np.zeros((3, 3))
-        for g, block in zip(groups, blocks):
-            d[np.ix_(g, g)] = block
-        o_out = uh @ d @ uc.T
-        if np.linalg.det(o_out) < 0:
-            continue
-        for f in flips:
-            o_in = vct.T @ (f[:, None] * d).T @ vht
-            if np.linalg.det(o_in) < 0:
-                continue
-            if (np.abs(o_out @ lam_c @ o_in - lam_h).max() < 1e-11
-                    and np.abs(o_out @ t_c - t_h).max() < 1e-8):
-                return o_out, o_in
-    return None
-
-
 def extremal_form_of(ch):
     """Recover (alpha, beta, u, v) for an extremal rank <= 2 qubit channel.
 
-    The distortion singular values of the canonical family are
-    {|cos a|, |cos b|, |cos a cos b|}, so the angle candidates come from
-    the two largest singular values with free signs; each candidate is
-    aligned to the channel by rotations built from the SVD frames of both
-    distortions (_align_rotations) and accepted only if the rebuilt Choi
-    matrix matches to 1e-9.
+    The rotations are read off the LU normal form, which for a rank-2
+    extremal channel is the two-angle form with alpha <= pi/2 <= beta and
+    alpha + beta <= pi: lambdas (cos a, -cos b, -cos a cos b), shift
+    (0, 0, sin a sin b). Where singular values tie, LU leaves the shift
+    on the earlier of the tied axes; the minimal rotation R taking the
+    shift onto z mixes only those axes, so diag(lambdas) conjugated by R
+    still gives cos a and -cos b on its diagonal. The rebuilt Choi matrix
+    must match to 1e-9.
     """
-    from . import extremal as extremal_mod
     _require_qubit_tp(ch)
     ks = channel.kraus_from_choi(ch.choi_pair)
     if len(ks) > 2:
         raise ValueError("channel has rank %d > 2" % len(ks))
     if len(ks) == 1:
-        u = ks[0]
-        form = _two_angle_form(np.pi, 0.0, u, np.eye(2, dtype=complex))
+        form = ExtremalQubitForm(np.pi, 0.0, ks[0], np.eye(2, dtype=complex))
         if np.abs(form.reconstruct().choi - ch.choi).max() > 1e-9:
             raise RuntimeError("unitary reconstruction failed")
         return form
-    if not extremal_mod.is_extremal_tp(ch):
+    if not extremal.is_extremal_tp(ch):
         raise ValueError("channel is not extremal")
-    p = ptm(ch)
-    l = numkit.svd(p.lam)[1]
-    seen = set()
-    for mags in ((l[0], l[1]), (l[1], l[0])):
-        for sa in (1.0, -1.0):
-            for sb in (1.0, -1.0):
-                ca = float(np.clip(sa * mags[0], -1, 1))
-                cb = float(np.clip(sb * mags[1], -1, 1))
-                key = (round(ca, 12), round(cb, 12))
-                if key in seen:
-                    continue
-                seen.add(key)
-                alpha, beta = np.arccos(ca), np.arccos(cb)
-                cand = canonical_extremal(alpha, beta)
-                pc = ptm(cand)
-                # translation length is rotation invariant
-                if abs(np.linalg.norm(pc.t) - np.linalg.norm(p.t)) > 1e-7:
-                    continue
-                fit = _align_rotations(pc.lam, pc.t, p.lam, p.t)
-                if fit is None:
-                    continue
-                o_out, o_in = fit
-                u = su2_from_so3(o_out)
-                vd = su2_from_so3(o_in)
-                form = _two_angle_form(alpha, beta, u, vd.conj().T)
-                if np.abs(form.reconstruct().choi - ch.choi).max() <= 1e-9:
-                    return form
-    raise RuntimeError("no canonical angle pair reproduces the channel")
+    lu = lu_normal_form(ch)
+    shift = np.asarray(lu.shift)
+    rot = _rotation_between(shift / np.linalg.norm(shift), np.eye(3)[2])
+    lam = rot @ np.diag(lu.lambdas) @ rot.T
+    wd = su2_from_so3(rot).conj().T
+    form = ExtremalQubitForm(np.arccos(np.clip(lam[0, 0], -1, 1)),
+                             np.arccos(np.clip(-lam[1, 1], -1, 1)),
+                             lu.u_out.conj().T @ wd, lu.u_in @ wd)
+    if np.abs(form.reconstruct().choi - ch.choi).max() > 1e-9:
+        raise RuntimeError("two-angle form does not reproduce the channel")
+    return form
 
 
 # --- concurrence and decompositions ------------------------------------------

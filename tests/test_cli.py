@@ -124,6 +124,24 @@ def test_analyze_gate_failure_not_fatal(tmp_path, capsys):
     assert "skipped" in report["results"]["normal_forms"]
 
 
+def test_analyze_reports_one_rank(tmp_path, capsys):
+    # a weak bit flip: rank 2 at the default tolerance, rank 1 at 1e-3,
+    # and the summary agrees with the rank analysis at either
+    eps = 1e-5
+    src = channel.Channel([np.sqrt(1 - eps) * np.eye(2, dtype=complex),
+                           np.sqrt(eps) * np.array([[0, 1], [1, 0]],
+                                                   dtype=complex)])
+    path = str(tmp_path / "flip.json")
+    cli.write_kraus_file(path, src)
+    for extra, expect in (([], 2), (["--tol", "1e-3"], 1)):
+        code = run(["analyze", path, "--rank", "--format", "structured"]
+                   + extra)
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["summary"]["rank"] == expect
+        assert report["results"]["rank"]["value"] == expect
+
+
 def _one_error_line(capsys):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: ")

@@ -144,8 +144,12 @@ def test_lu_normal_form_amplitude_damping():
 def test_lu_normal_form_invariance():
     """lambdas and shift are invariant under unitary conjugations."""
     rng = np.random.default_rng(4)
-    for base in (channel.amplitude_damping(0.35),
-                 random_tp_channel(rng, 2, 3)):
+    bases = [channel.amplitude_damping(0.35), random_tp_channel(rng, 2, 3)]
+    # tied or vanishing singular values leave LU a rotation to spend
+    bases += [qubit.canonical_extremal(a, b)
+              for a, b in ((0.7, 0.7), (0.7, np.pi - 0.7), (np.pi / 2, 1.0),
+                           (np.pi / 2, np.pi / 2))]
+    for base in bases:
         ref = qubit.lu_normal_form(base)
         for _ in range(10):
             ch = conjugated(base, random_unitary(rng, 2),
@@ -368,6 +372,29 @@ def test_canonical_extremal_amplitude_damping():
     assert np.abs(ch.choi - channel.amplitude_damping(g).choi).max() < 1e-10
 
 
+def _two_angle_ptm(alpha, beta):
+    r = np.diag([1.0, np.cos(alpha), -np.cos(beta),
+                 -np.cos(alpha) * np.cos(beta)])
+    r[3, 0] = np.sin(alpha) * np.sin(beta)
+    return r
+
+
+def test_canonical_extremal_closed_form():
+    """The Pauli picture is the closed form to rounding, also where
+    beta - alpha or pi - alpha - beta is tiny and sqrt((1 - cos)/2) would
+    lose half the digits."""
+    rng = np.random.default_rng(22)
+    pairs = [(0.7611060596, 2.3804865791), (1.0, 1.00000001)]
+    for _ in range(100):
+        alpha = rng.uniform(0.0, np.pi / 2 - 1e-4)
+        pairs.append((alpha, alpha + 10 ** rng.uniform(-12, -5)))
+        alpha = rng.uniform(0.0, np.pi / 2 - 1e-4)
+        pairs.append((alpha, np.pi - alpha - 10 ** rng.uniform(-12, -5)))
+    for alpha, beta in pairs:
+        r = qubit.ptm(qubit.canonical_extremal(alpha, beta)).r
+        assert np.abs(r - _two_angle_ptm(alpha, beta)).max() < 1e-12
+
+
 def test_extremal_form_of_recovery():
     rng = np.random.default_rng(10)
     for trial in range(10):
@@ -415,6 +442,25 @@ def test_extremal_form_of_zero_singular_values():
                             random_unitary(rng, 2))
             form = qubit.extremal_form_of(ch)
             assert np.abs(form.reconstruct().choi - ch.choi).max() < 1e-9
+
+
+@pytest.mark.parametrize("family", ["near-zero singular value",
+                                    "near-equal singular values"])
+def test_extremal_form_of_near_degenerate(family):
+    """alpha = pi/2 + delta leaves a singular value of size delta, and
+    beta = alpha + delta two singular values delta apart; the translation
+    still pins the rotations down."""
+    for k in range(200):
+        rng = np.random.default_rng(k)
+        delta = 10 ** rng.uniform(-12, -5)
+        angle = rng.uniform(0.05, np.pi - 0.05)
+        if family == "near-zero singular value":
+            base = qubit.canonical_extremal(np.pi / 2 + delta, angle)
+        else:
+            base = qubit.canonical_extremal(angle, angle + delta)
+        ch = conjugated(base, random_unitary(rng, 2), random_unitary(rng, 2))
+        form = qubit.extremal_form_of(ch)
+        assert np.abs(form.reconstruct().choi - ch.choi).max() < 1e-9
 
 
 def test_extremal_form_of_unitary():
