@@ -13,7 +13,10 @@ correlations the value of a POVM and the dual bound of the measurement
 linear program, the fidelity a primal value and its dual bound. The
 Holevo and correlation bounds are one computation, the minimum over the
 Bloch sphere of a concave entropy f(u) less an affine function, in the
-channel's or the state's Bloch frame.
+channel's or the state's Bloch frame. The solvers are numpy code sized
+to these problems: the measurement linear program has four rows and is
+solved by a dense simplex, the fidelity dual has three variables and is
+minimized by damped Newton steps.
 """
 
 import numpy as np
@@ -475,7 +478,10 @@ def holevo_chi(ch):
     qubit._require_qubit_tp(ch)
     p = qubit.ptm(ch)
     w, u, val, upper = _chi_primal_dual((np.zeros(3), p.t, p.lam.T))
-    ens = Ensemble([(wk, _bloch_rho(uk)) for wk, uk in zip(w, u)])
+    try:
+        ens = Ensemble([(wk, _bloch_rho(uk)) for wk, uk in zip(w, u)])
+    except ValueError as exc:  # built here, so a fault of the solver
+        raise RuntimeError("ensemble is not valid: %s" % exc) from exc
     avg_out = channel.apply(ch, ens.average())
     recomputed = von_neumann_entropy(avg_out) - sum(
         wk * von_neumann_entropy(channel.apply(ch, r))
@@ -560,18 +566,46 @@ def _correlation_frame(rho_ab, measured_first):
     return r[1:, 0], r[0, 1:], r[1:, 1:]
 
 
+# the _GRID points nearest the corners of a regular tetrahedron; they hold
+# the origin strictly inside, so they are a feasible basis of every
+# measurement LP whose first columns are _GRID
+_TETRAHEDRON = np.argmax(_GRID @ np.array(
+    [[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]).T, axis=0)
+# simplex pivots allowed per LP; up to about 15 are taken from that basis
+_PIVOTS = 100
+
+
 def _measurement_lp(frame, u):
     """Weights c >= 0 on directions u minimizing sum c f(u) subject to
-    sum c = 1 and sum c u = 0, with the LP dual (y0, y)."""
-    import scipy.optimize  # here only: it is most of an import's time
-    res = scipy.optimize.linprog(
-        _frame_entropy(frame, u), A_eq=np.vstack([np.ones(len(u)), u.T]),
-        b_eq=np.array([1.0, 0.0, 0.0, 0.0]), method="highs-ds",
-        options={"primal_feasibility_tolerance": 1e-10,
-                 "dual_feasibility_tolerance": 1e-10})
-    if res.status != 0:
-        raise RuntimeError("measurement LP failed: %s" % res.message)
-    return res.x, res.eqlin.marginals[0], res.eqlin.marginals[1:]
+    sum c = 1 and sum c u = 0, with the LP dual (y0, y).
+
+    A dense revised simplex on the four constraint rows, started from
+    the _TETRAHEDRON basis. The column of most negative reduced cost
+    f(u_j) - y0 - y.u_j enters, the lowest index on ties, and the ratio
+    test picks the column that leaves. Returns a vertex, so at most four
+    weights are nonzero, and the duals (y0, y) = f_B B^-1 of its basis.
+    Raises RuntimeError past _PIVOTS pivots.
+    """
+    cost = _frame_entropy(frame, u)
+    rows = np.vstack([np.ones(len(u)), u.T])
+    basis = _TETRAHEDRON.copy()
+    for _ in range(_PIVOTS):
+        inv = np.linalg.inv(rows[:, basis])
+        weights = np.maximum(inv[:, 0], 0.0)  # B^-1 (1, 0, 0, 0)
+        dual = cost[basis] @ inv
+        reduced = cost - dual @ rows
+        j = np.argmin(reduced)
+        if reduced[j] >= -1e-12:
+            c = np.zeros(len(u))
+            c[basis] = weights
+            return c, dual[0], dual[1:]
+        # the entries of d sum to 1 (the first row of B is ones), so
+        # some entry rises and the ratio test always has a candidate
+        d = inv @ rows[:, j]
+        rising = d > 1e-12
+        basis[np.argmin(np.where(rising, weights / np.where(rising, d, 1.0),
+                                 np.inf))] = j
+    raise RuntimeError("measurement LP not solved in %d pivots" % _PIVOTS)
 
 
 def _kkt_system(frame, c, u, y, y0):
@@ -672,7 +706,10 @@ def _correlation_primal_dual(rho_ab, side):
             break
         # the antipode makes a projective measurement along u_star feasible
         points = np.vstack([_GRID, u, u_star, -u_star])
-    povm = Povm([2 * ck * _bloch_rho(uk) for ck, uk in zip(c, u)])
+    try:
+        povm = Povm([2 * ck * _bloch_rho(uk) for ck, uk in zip(c, u)])
+    except ValueError as exc:  # built here, so a fault of the solver
+        raise RuntimeError("measurement is not a POVM: %s" % exc) from exc
     value = _correlation_value(rho_ab, povm.elements, measured_first,
                                s_remote)
     if abs(value - (s_remote - cond)) > 1e-9:
@@ -687,17 +724,17 @@ def classical_correlations(rho_ab, side="b"):
     B (and symmetrically for side "a"). A POVM {c_i (I + u_i.sigma)}
     with sum c_i = 1 and sum c_i u_i = 0 leaves conditional entropy
     sum c_i f(u_i); rank-1 POVMs of at most four outcomes suffice for a
-    qubit. A linear program over a 400-point grid of directions picks
-    the weights, and damped Newton (Levenberg-Marquardt) steps on its
-    optimality conditions polish weights and directions. Any y in R^3
-    gives the dual bound J <= S(remote) - min over the sphere of
-    f(u) - y.u, which holds for every POVM because f is concave on the
-    Bloch ball; the minimum comes from a grid plus local polish, so the
-    bound is exact if that finds the global minimum. While the gap is
-    wide the minimizers and their antipodes join the LP and the polish
-    runs again. The POVM is built as matrices and its value recomputed
-    from them. Raises RuntimeError if the bound is more than 1e-8 above
-    that value.
+    qubit. A linear program over a 400-point grid of directions, solved
+    by a four-row simplex, picks the weights, and damped Newton
+    (Levenberg-Marquardt) steps on its optimality conditions polish
+    weights and directions. Any y in R^3 gives the dual bound J <=
+    S(remote) - min over the sphere of f(u) - y.u, which holds for every
+    POVM because f is concave on the Bloch ball; the minimum comes from
+    a grid plus local polish, so the bound is exact if that finds the
+    global minimum. While the gap is wide the minimizers and their
+    antipodes join the LP and the polish runs again. The POVM is built
+    as matrices and its value recomputed from them. Raises RuntimeError
+    if the bound is more than 1e-8 above that value.
     """
     rho_ab = numkit.require_density(rho_ab, 4)[0]
     if side not in ("a", "b"):
@@ -725,12 +762,54 @@ _TEMPERATURES = (1e-2, 1e-5, 1e-8, 1e-11)
 
 
 def _smoothed_dual(z, m, t):
-    """t log Tr exp(A / t) for A = M - (z . sigma) (x) I, and its gradient."""
+    """t log Tr exp(A / t) for A = M - (z . sigma) (x) I, with its gradient
+    g and Hessian in z.
+
+    With p = softmax(w / t) over the eigenvalues w of A and B_k the
+    matrix of sigma_k (x) I in its eigenbasis, g_k = -sum_i p_i B_k,ii
+    and the Hessian is sum_ij G_ij B_k,ij B_l,ji - g g^T / t, where
+    G_ij = (p_i - p_j) / (w_i - w_j) and G_ii = p_i / t. G is taken as
+    p_hi (1 - exp(-|w_i - w_j| / t)) / |w_i - w_j|, p_hi the larger of
+    p_i and p_j, which does not cancel when w_i and w_j nearly tie.
+    """
     w, v = np.linalg.eigh(m - np.tensordot(z, _PAULI_IN[1:], 1))
     e = np.exp((w - w[-1]) / t)
-    rho = (v * (e / e.sum())) @ v.conj().T
-    grad = -np.einsum("ij,kji->k", rho, _PAULI_IN[1:]).real
-    return w[-1] + t * np.log(e.sum()), grad
+    p = e / e.sum()
+    b = v.conj().T @ _PAULI_IN[1:] @ v
+    grad = -np.einsum("i,kii->k", p, b).real
+    gap = np.abs(w[:, None] - w[None, :])
+    split = np.where(gap > 0, -np.expm1(-gap / t) / np.where(gap > 0, gap, 1),
+                     1 / t)
+    hess = (np.einsum("ij,kij,lji->kl", np.maximum.outer(p, p) * split, b, b)
+            .real - np.outer(grad, grad) / t)
+    return w[-1] + t * np.log(e.sum()), grad, hess
+
+
+def _descend_dual(m, z, t, radius):
+    """Minimize _smoothed_dual(., m, t) by damped Newton steps from z.
+
+    The step's part along each eigenvector of the Hessian is capped at
+    radius. Curvature here runs from 0 (product states with a pure
+    factor leave a flat direction) to about 1/t across a split of the
+    top eigenvalue, so no cutoff on it separates the two; the cap keeps
+    a small gradient along a flat direction from throwing z away. A step
+    that does not lower the value cuts the radius to a quarter of its
+    length. Stops when the quadratic model promises less than 1e-15.
+    """
+    f, g, h = _smoothed_dual(z, m, t)
+    for _ in range(100):
+        mu, v = np.linalg.eigh(h)
+        gv = v.T @ g
+        step = -v @ (gv / np.maximum(np.maximum(mu, np.abs(gv) / radius),
+                                     1e-300))
+        if -(g @ step + step @ h @ step / 2) <= 1e-15:
+            break
+        f_new, g_new, h_new = _smoothed_dual(z + step, m, t)
+        if f_new < f:
+            z, f, g, h = z + step, f_new, g_new, h_new
+        else:
+            radius = np.linalg.norm(step) / 4
+    return z
 
 
 def _tp_map(w):
@@ -782,20 +861,23 @@ def _fidelity_primal_dual(m):
 
     The dual, min Tr Y s.t. Y (x) I >= M, becomes the minimum over z in R^3
     of 2 lam_max(M - (z . sigma) (x) I) with Y = Z + lam_max(M - Z (x) I) I
-    and Z = z . sigma traceless. BFGS minimizes a smoothed maximum at
-    falling temperatures. The primal channel lives on the top eigenspace
-    of M - Z (x) I; each eigenspace dimension is tried, the best kept.
-    Returns (primal value, dual bound, Channel).
+    and Z = z . sigma traceless. Damped Newton steps minimize a smoothed
+    maximum at falling temperatures. The primal channel lives on the top
+    eigenspace of M - Z (x) I; each eigenspace dimension is tried, the
+    best kept. Returns (primal value, dual bound, Channel).
     """
-    import scipy.optimize  # here only: it is most of an import's time
-    z = np.zeros(3)
+    z, radius = np.zeros(3), 1.0
     for t in _TEMPERATURES:
-        z = scipy.optimize.minimize(_smoothed_dual, z, args=(m, t), jac=True,
-                                    method="BFGS", options={"gtol": 1e-9}).x
+        z = _descend_dual(m, z, t, radius)
+        # the next stage's optimum lies about t away
+        radius = t
     w, v = np.linalg.eigh(m - np.tensordot(z, _PAULI_IN[1:], 1))
     # allowance for eigenvalue rounding, so the bound stays a bound
     bound = 2 * (w[-1] + 16 * np.finfo(float).eps * max(np.abs(w).max(), 1))
     cands = [ks for ks in (_channel_on(v[:, k:], m) for k in range(4)) if ks]
+    if not cands:
+        raise RuntimeError("no trace-preserving channel on the top "
+                           "eigenspaces of the dual")
     ch = channel.Channel(max(cands, key=lambda ks: np.trace(
         channel.choi_matrix(ks) @ m).real))
     return float(np.trace(ch.choi @ m).real), float(bound), ch

@@ -2,6 +2,7 @@ import functools
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import example, given, settings, strategies as st
 
 from qchan import capacity, channel, extremal, numkit, qubit
@@ -405,6 +406,35 @@ def test_fidelity_optimize_raises_on_a_wide_gap(monkeypatch):
             random_density(np.random.default_rng(7), 4, 2))
 
 
+@settings(max_examples=40, deadline=None)
+@given(_SEEDS, st.sampled_from([(1, 1), (1, 2), (2, 1)]))
+def test_fidelity_dual_with_a_pure_factor(seed, ranks):
+    """A pure factor leaves the smoothed dual a flat direction, along
+    which uncapped Newton steps run away."""
+    m = capacity._fidelity_weight_matrix(_product_state(seed, *ranks))
+    primal, dual, _ = capacity._fidelity_primal_dual(m)
+    assert 0 <= dual - primal <= 1e-8
+
+
+@pytest.mark.parametrize("t", [1e-1, 1e-2, 1e-3])
+@pytest.mark.parametrize("rho", [
+    random_density(np.random.default_rng(9), 4, 3),
+    # M has a threefold eigenvalue at z = 0
+    _werner(0.6)])
+def test_smoothed_dual_derivatives_match_differences(rho, t):
+    m = capacity._fidelity_weight_matrix(rho)
+    for z in (np.zeros(3), 0.05 * np.random.default_rng(10).normal(size=3)):
+        _, grad, hess = capacity._smoothed_dual(z, m, t)
+        eps = 1e-4 * t
+        up, down = ([capacity._smoothed_dual(z + s * eps * e, m, t)
+                     for e in np.eye(3)] for s in (1, -1))
+        fd_grad = [(a[0] - b[0]) / (2 * eps) for a, b in zip(up, down)]
+        fd_hess = [(a[1] - b[1]) / (2 * eps) for a, b in zip(up, down)]
+        assert np.abs(np.array(fd_grad) - grad).max() <= 1e-8
+        assert (np.abs(np.array(fd_hess) - hess).max()
+                <= 1e-5 * np.abs(hess).max())
+
+
 @pytest.mark.parametrize("rho, value", [
     (0.6 * np.outer([np.cos(0.2), 0, 0, np.sin(0.2)],
                     [np.cos(0.2), 0, 0, np.sin(0.2)])
@@ -509,3 +539,84 @@ def test_classical_correlations_workload_values(angle, visibility, value):
     rho = _locally_rotated(rho.astype(complex), 11)
     for side in "ab":
         assert abs(capacity.classical_correlations(rho, side) - value) <= 1e-9
+
+
+def _weak_correlations(seed):
+    """A mixed A marginal, correlations T of about 1e-3: f spreads by
+    about 1e-6 over the sphere once its affine part is taken out."""
+    rng = np.random.default_rng(seed)
+    return (0.999 * np.kron(np.eye(2) / 2, random_density(rng, 2))
+            + 1e-3 * random_density(rng, 4))
+
+
+_LP_STATES = st.one_of(
+    st.builds(lambda seed, rank: random_density(
+        np.random.default_rng(seed), 4, rank), _SEEDS, st.integers(1, 4)),
+    # a pure marginal: p = 1 + a.u reaches 0
+    st.builds(_product_state, _SEEDS, st.integers(1, 2), st.integers(1, 2)),
+    # f constant on the sphere: every feasible basis is optimal
+    st.builds(_werner, st.floats(0, 1)),
+    st.just(np.eye(4, dtype=complex) / 4),
+    st.builds(_weak_correlations, _SEEDS))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_LP_STATES, st.booleans(), _SEEDS, st.integers(0, 40))
+def test_measurement_lp_optimality(rho, measured_first, seed, extra):
+    """The simplex vertex on _GRID and extra directions meets the LP
+    optimality conditions and the value HiGHS finds."""
+    frame = capacity._correlation_frame(rho, measured_first)
+    more = np.random.default_rng(seed).normal(size=(extra, 3))
+    u = np.vstack([capacity._GRID,
+                   more / np.linalg.norm(more, axis=1)[:, None]])
+    c, y0, y = capacity._measurement_lp(frame, u)
+    f = capacity._frame_entropy(frame, u)
+    reduced = f - y0 - u @ y
+    assert c.min() >= 0 and np.count_nonzero(c) <= 4
+    assert abs(c.sum() - 1) <= 1e-12 and np.abs(c @ u).max() <= 1e-12
+    assert reduced.min() >= -1e-12
+    assert np.abs(c * reduced).max() <= 1e-12
+    assert abs(c @ f - y0) <= 1e-12
+    highs = scipy.optimize.linprog(
+        f, A_eq=np.vstack([np.ones(len(u)), u.T]), b_eq=[1, 0, 0, 0],
+        method="highs-ds", options={"primal_feasibility_tolerance": 1e-10,
+                                    "dual_feasibility_tolerance": 1e-10})
+    assert abs(c @ f - highs.fun) <= 1e-10
+
+
+def test_measurement_lp_start_holds_the_origin():
+    rows = np.vstack([np.ones(4), capacity._GRID[capacity._TETRAHEDRON].T])
+    assert np.linalg.solve(rows, [1, 0, 0, 0]).min() > 0.2
+
+
+def test_measurement_lp_raises_past_the_pivot_cap(monkeypatch):
+    frame = capacity._correlation_frame(
+        random_density(np.random.default_rng(0), 4, 3), True)
+    monkeypatch.setattr(capacity, "_PIVOTS", 1)
+    with pytest.raises(RuntimeError, match="pivots"):
+        capacity._measurement_lp(frame, capacity._GRID)
+
+
+def _weights_scaled(fn):
+    """fn with its first output, the weights, scaled by 0.9."""
+    def scaled(*args):
+        out = fn(*args)
+        return (0.9 * out[0],) + tuple(out[1:])
+    return scaled
+
+
+@pytest.mark.parametrize("helper, fake, run, message", [
+    ("_polish_measurement", _weights_scaled(capacity._polish_measurement),
+     capacity.classical_correlations, "not a POVM"),
+    ("_chi_primal_dual", _weights_scaled(capacity._chi_primal_dual),
+     lambda rho: capacity.holevo_chi(channel.amplitude_damping(0.5)),
+     "ensemble is not valid"),
+    ("_channel_on", lambda w, m: None, capacity.fidelity_optimize_one_side,
+     "no trace-preserving channel")])
+def test_internal_faults_raise_runtime_error(monkeypatch, helper, fake, run,
+                                             message):
+    """The CLI reports a ValueError as a skipped analysis; a fault of the
+    solver must not pass for an input out of scope."""
+    monkeypatch.setattr(capacity, helper, fake)
+    with pytest.raises(RuntimeError, match=message):
+        run(random_density(np.random.default_rng(1), 4, 2))

@@ -49,20 +49,25 @@ workdir = sys.argv[1]
 path = os.path.join(workdir, "ad.json")
 with open(path, "w") as fh:
     json.dump({"builder": "amplitude_damping", "gamma": 0.5}, fh)
+codes = []
 with contextlib.redirect_stdout(io.StringIO()):
-    codes = [cli.main(["analyze", path, "--all"]),
-             cli.main(["decompose", path]),
-             cli.main(["ellipsoid", path, os.path.join(workdir, "e.csv")])]
-seen["cli"] = scipy_loaded()
+    for argv in (["analyze", path, "--all"], ["decompose", path],
+                 ["ellipsoid", path, os.path.join(workdir, "e.csv")]):
+        codes.append(cli.main(argv))
+        seen[argv[0]] = scipy_loaded()
 phi = np.array([1, 0, 0, 1]) / np.sqrt(2)
-capacity.classical_correlations(0.8 * np.outer(phi, phi) + 0.05 * np.eye(4))
+rho = 0.8 * np.outer(phi, phi) + 0.05 * np.eye(4)
+capacity.classical_correlations(rho)
 seen["classical_correlations"] = scipy_loaded()
+capacity.fidelity_optimize_one_side(rho)
+seen["fidelity_optimize_one_side"] = scipy_loaded()
 print(json.dumps({"codes": codes, "seen": seen}))
 """
 
 
-def test_scipy_loads_only_for_the_bipartite_optimizers(tmp_path):
-    """import qchan and the structural CLI commands load numpy only.
+def test_no_route_loads_scipy(tmp_path):
+    """import qchan, the CLI commands and both bipartite optimizers load
+    numpy only; analyze --all runs holevo_chi.
 
     Run in a fresh process: the test session itself has scipy loaded
     (its LinAlgWarning filter imports scipy.linalg).
@@ -71,9 +76,9 @@ def test_scipy_loads_only_for_the_bipartite_optimizers(tmp_path):
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout.splitlines()[-1])
     assert out["codes"] == [0, 0, 0]
-    assert out["seen"]["import"] == []
-    assert out["seen"]["cli"] == []
-    assert "scipy.optimize" in out["seen"]["classical_correlations"]
+    assert out["seen"] == dict.fromkeys(
+        ["import", "analyze", "decompose", "ellipsoid",
+         "classical_correlations", "fidelity_optimize_one_side"], [])
 
 
 DEMOS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), os.pardir,
