@@ -819,7 +819,7 @@ def _tp_map(w):
     columns in w) and the matrix taking the coordinates of Q in that
     basis to the Pauli coordinates of Tr_out(w Q w^dag).
     """
-    basis = np.array(extremal._herm_basis(w.shape[1]))
+    basis = numkit.hermitian_basis(w.shape[1])
     g = np.einsum("ai,mab,bj->mij", w.conj(), _PAULI_IN, w)
     return basis, np.einsum("bij,mji->mb", basis, g).real
 

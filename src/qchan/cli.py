@@ -18,12 +18,15 @@ that reports its own hypothesis failure, like the rank-2 capacity
 formula on a non-unital channel, still counts as completed), 1 when a
 computation failed its own check (an optimizer whose bound is not
 certified, a decomposition part off the trace condition), 2 for file
-or usage errors.
+or usage errors. When standard output closes before the report is out
+(qchan analyze f --all | head -1), qchan exits 1 without a traceback.
 """
 
 import argparse
 import csv
+import functools
 import json
+import os
 import sys
 
 import numpy as np
@@ -380,16 +383,18 @@ def cmd_decompose(path, flags):
     """Split a channel into extremal components; returns a report dict."""
     ch, source = load_channel_file(path)
     source["path"] = path
-    if extremal.is_extremal_tp(ch):
+    try:
+        parts = extremal.decompose_into_extremals(ch)
+    except extremal.AlreadyExtremalError:
         return {"source": source, "extremal": True,
                 "message": "already extremal", "components": []}
-    parts = extremal.decompose_into_extremals(ch)
     components = []
     for w, part in parts:
+        rank = channel.rank(part)
         components.append({
             "weight": float(w),
-            "rank": channel.rank(part),
-            "unitary": channel.rank(part) == 1,
+            "rank": rank,
+            "unitary": rank == 1,
             "kraus": [_encode_matrix(a) for a in part.kraus]})
     return {"source": source, "extremal": False, "components": components}
 
@@ -466,29 +471,53 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    # built on the first main call, not at import; parse_args keeps no
+    # state between calls, so one parser serves a whole process
+    return build_parser()
+
+
+def _silence_stdout():
+    """Python's recipe for a closed pipe: point the stdout descriptor at
+    devnull, so that the flush at exit does not raise again. A stdout
+    without a descriptor (a test's stand-in) is left as it is."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "analyze":
             report = cmd_analyze(args.path, args)
-            if args.format == "structured":
-                print(json.dumps(report.as_dict(), indent=2))
-            else:
-                print("\n".join(report.text_lines()))
+            text = (json.dumps(report.as_dict(), indent=2)
+                    if args.format == "structured"
+                    else "\n".join(report.text_lines()))
         elif args.command == "decompose":
             report = cmd_decompose(args.path, args)
-            if args.format == "structured":
-                print(json.dumps(report, indent=2))
-            else:
-                print("\n".join(_decompose_text(report)))
+            text = (json.dumps(report, indent=2)
+                    if args.format == "structured"
+                    else "\n".join(_decompose_text(report)))
         else:
             cmd_ellipsoid(args.path, args.out_csv)
+            return 0
     except (ChannelFileError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except RuntimeError as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return 1
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        _silence_stdout()
         return 1
     return 0
 

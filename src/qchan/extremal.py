@@ -17,6 +17,10 @@ from . import numkit, channel
 _NULL_TOL = 1e-10  # products of the v_i count as dependent below this
 
 
+class AlreadyExtremalError(ValueError):
+    """The channel is extremal, so there is nothing to split or peel."""
+
+
 def _minimal_kraus(ch):
     # extremality statements assume a TP channel and a linearly
     # independent Kraus set; re-derive one from the Choi matrix
@@ -42,8 +46,12 @@ def is_extremal_tp(ch, tol=_NULL_TOL):
     Unit-norm v_i make the verdict depend on the range of the Choi
     matrix alone, as extremality does, not on its small eigenvalues.
     """
-    v = _directions(ch)[0]
-    return len(v) <= ch.dim and _perturbation(v, tol) is None
+    return _extremal(_directions(ch)[0], ch.dim, tol)
+
+
+def _extremal(v, n, tol=_NULL_TOL):
+    """is_extremal_tp on the directions v of an n-dimensional channel."""
+    return len(v) <= n and _perturbation(v, tol) is None
 
 
 def is_extremal_constrained(ch, rho1, tol=1e-8):
@@ -65,44 +73,32 @@ def is_extremal_constrained(ch, rho1, tol=1e-8):
     return bool(s[-1] > tol * s[0])
 
 
-def _herm_basis(m):
-    """Orthonormal (Frobenius) basis of m x m Hermitian matrices."""
-    basis = []
-    for i in range(m):
-        e = np.zeros((m, m), dtype=complex)
-        e[i, i] = 1
-        basis.append(e)
-    for i in range(m):
-        for j in range(i + 1, m):
-            e = np.zeros((m, m), dtype=complex)
-            e[i, j] = e[j, i] = 1 / np.sqrt(2)
-            basis.append(e)
-            e = np.zeros((m, m), dtype=complex)
-            e[i, j] = -1j / np.sqrt(2)
-            e[j, i] = 1j / np.sqrt(2)
-            basis.append(e)
-    return basis
-
-
 def _perturbation(ks, tol=_NULL_TOL):
     """The unit Hermitian Q with sum_jk Q_jk A_k^dag A_j = 0 (singular
     values up to tol times the largest counting as zero) of least
-    off-diagonal mass, or None; a singular vector picks it, as a Gram
-    matrix would square the conditioning."""
+    off-diagonal mass, its largest-magnitude eigenvalue positive, or None.
+
+    The null space comes from an SVD of the map itself, as a Gram matrix
+    would square the conditioning. Its elements are Frobenius-orthonormal,
+    so least off-diagonal mass is most diagonal mass: the top singular
+    vector of their diagonals, which lead the Hermitian basis, picks Q.
+    The sign decides which side of a split comes first.
+    """
     m = len(ks)
-    basis = np.array(_herm_basis(m))
+    basis = numkit.hermitian_basis(m)
     # row b: the image of basis element b, real and imaginary parts
     prods = np.einsum("kax,jay->jkxy", ks.conj(), ks).reshape(m * m, -1)
     out = basis.reshape(m * m, m * m) @ prods
     u, s = np.linalg.svd(np.concatenate([out.real, out.imag], axis=1))[:2]
-    null = np.tensordot(u[:, np.count_nonzero(s > tol * s[0]):].T, basis, 1)
-    if not len(null):
+    null = u[:, np.count_nonzero(s > tol * s[0]):]
+    if not null.shape[1]:
         return None
-    offd = (null * (1 - np.eye(m))).reshape(len(null), -1)
-    u = np.linalg.svd(np.concatenate([offd.real, offd.imag], axis=1))[0]
-    q = np.tensordot(u[:, -1], null, 1)
+    c = np.linalg.svd(null[:m], full_matrices=False)[2][0]
+    q = np.tensordot(null @ c, basis, 1)
     # drop float fuzz so that Q is Hermitian to the last bit
-    return (q + q.conj().T) / (2 * np.linalg.norm(q))
+    q = (q + q.conj().T) / (2 * np.linalg.norm(q))
+    w = np.linalg.eigvalsh(q)
+    return q if w[-1] >= -w[0] else -q
 
 
 def find_perturbation(ch, tol=_NULL_TOL):
@@ -121,11 +117,11 @@ def find_perturbation(ch, tol=_NULL_TOL):
     return q / np.linalg.norm(q)
 
 
-def _face_step(f, h):
-    """f (I - h / lam_max(h))^(1/2), the point f moved to the boundary of
-    its face, and the step 1 / lam_max(h). The whole cluster at lam_max
-    drops out, not one rounding-split member of it."""
-    w, z = numkit.eigh(h)
+def _face_step(f, w, z):
+    """f (I - h / lam_max(h))^(1/2) for h = z diag(w) z^dag (w ascending),
+    the point f moved to the boundary of its face, and the step
+    1 / lam_max(h). The whole cluster at lam_max drops out, not one
+    rounding-split member of it."""
     x = 1 - w / w[-1]
     keep = x > 1e-12
     return f @ (z[:, keep] * np.sqrt(x[keep])), 1 / w[-1]
@@ -147,9 +143,10 @@ def _walk(f, v):
         q = _perturbation(np.tensordot(p.T, v, 1), tol)
         if q is None:
             return f
-        h = q / np.outer(s, s)
-        w = numkit.eigh(h)[0]
-        f = _face_step(p * s, h if w[-1] >= -w[0] else -h)[0]
+        w, z = numkit.eigh(q / np.outer(s, s))
+        if w[-1] < -w[0]:
+            w, z = -w[::-1], z[:, ::-1]
+        f = _face_step(p * s, w, z)[0]
 
 
 def _tp_channel(f, v):
@@ -186,10 +183,10 @@ def split_extremal(ch):
     """
     q = find_perturbation(ch)
     if q is None:
-        raise ValueError("channel is extremal, nothing to split")
+        raise AlreadyExtremalError("channel is extremal, nothing to split")
     v, norms = _directions(ch)
-    left, s_minus = _face_step(np.diag(norms), -q)
-    right, s_plus = _face_step(np.diag(norms), q)
+    left, s_minus = _face_step(np.diag(norms), *numkit.eigh(-q))
+    right, s_plus = _face_step(np.diag(norms), *numkit.eigh(q))
     return ExtremalSplit(float(s_plus / (s_plus + s_minus)),
                          _tp_channel(left, v), _tp_channel(right, v), q)
 
@@ -201,18 +198,19 @@ def decompose_into_extremals(ch):
     E = F Y of its face, subtract the largest t E that keeps F F^dag -
     t E E^dag positive, t = 1 / lam_max(Y Y^dag), and repeat; the rank
     drops each time, so at most rank(ch) pairs (weight, Channel) come
-    back, weights positive and summing to one. Raises ValueError on
-    extremal input, RuntimeError if a part fails _tp_channel's check.
+    back, weights positive and summing to one. Raises
+    AlreadyExtremalError (a ValueError) on extremal input, RuntimeError
+    if a part fails _tp_channel's check.
     """
-    if is_extremal_tp(ch):
-        raise ValueError("channel is already extremal")
     v, norms = _directions(ch)
+    if _extremal(v, ch.dim):
+        raise AlreadyExtremalError("channel is already extremal")
     f = np.diag(norms).astype(complex)
     parts = []
     while f.shape[1]:
         e = _walk(f, v)
         y = np.linalg.lstsq(f, e, rcond=None)[0]
-        f, t = _face_step(f, y @ y.conj().T)
+        f, t = _face_step(f, *numkit.eigh(y @ y.conj().T))
         parts.append((t * np.linalg.norm(e) ** 2, e))
     total = sum(w for w, _ in parts)
     return [(float(w / total), _tp_channel(e, v)) for w, e in parts]

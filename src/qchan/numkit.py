@@ -63,6 +63,24 @@ def partial_transpose(m, dim_a, dim_b, subsystem):
     return t.reshape(dim_a * dim_b, dim_a * dim_b)
 
 
+def hermitian_basis(m):
+    """Frobenius-orthonormal basis of the m x m Hermitian matrices.
+
+    An (m^2, m, m) array: the m diagonal units E_ii first, then for each
+    i < j in row order the pair (E_ij + E_ji) / sqrt(2) and
+    i (E_ji - E_ij) / sqrt(2).
+    """
+    i, j = np.triu_indices(m, 1)
+    re = m + 2 * np.arange(len(i))
+    r = 1 / np.sqrt(2)
+    basis = np.zeros((m * m, m, m), dtype=complex)
+    basis[np.arange(m), np.arange(m), np.arange(m)] = 1
+    basis[re, i, j] = basis[re, j, i] = r
+    basis[re + 1, i, j] = -1j * r
+    basis[re + 1, j, i] = 1j * r
+    return basis
+
+
 def require_hermitian(m, tol=HERM_TOL):
     """Validate hermiticity (relative tolerance) and return the array."""
     m = np.asarray(m, dtype=complex)

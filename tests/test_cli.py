@@ -1,6 +1,10 @@
 import csv
+import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -304,3 +308,71 @@ def test_text_format_mentions_key_results(tmp_path, capsys):
     assert "f_max=0.750000000" in out
     assert "breaking=no" in out
     assert "holevo_chi=0.471729391 (blahut-arimoto minimax, gap " in out
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys, monkeypatch):
+    """Each report equals the one a fresh parser gives: no flag or
+    default carries over from the call before."""
+    fresh_parser = cli.build_parser
+    built = []
+
+    def build():
+        built.append(fresh_parser())
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_parser", build)
+    cli._parser.cache_clear()
+    path = write_doc(tmp_path, "dep.json",
+                     {"builder": "depolarizing", "p": 0.5})
+    calls = [["analyze", path, "--all", "--tol", "1e-6",
+              "--format", "structured"],
+             ["analyze", path, "--choi", "--format", "structured"],
+             ["decompose", path, "--format", "structured"]]
+    reports = []
+    for argv in calls:
+        assert run(argv) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    assert len(built) == 1
+    for argv, report in zip(calls, reports):
+        args = fresh_parser().parse_args(argv)
+        fresh = (cli.cmd_analyze(path, args).as_dict()
+                 if args.command == "analyze"
+                 else cli.cmd_decompose(path, args))
+        assert report == json.loads(json.dumps(fresh))
+    assert list(reports[1]["results"]) == ["choi"]
+    assert reports[1]["provenance"]["tol"] == 1e-9
+
+
+class _ClosedPipe(io.TextIOBase):
+    """A stdout whose reader has gone; it has no file descriptor."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_pipe_exits_quietly(tmp_path, capsys, monkeypatch):
+    path = write_doc(tmp_path, "dep.json",
+                     {"builder": "depolarizing", "p": 0.5})
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert run(["analyze", path, "--all"]) == 1
+    assert capsys.readouterr().err == ""
+
+
+def test_closed_pipe_exits_quietly_in_a_process(tmp_path):
+    """qchan analyze f | head -1, with head gone before the first write:
+    neither the write nor the flush at exit prints a traceback."""
+    path = write_doc(tmp_path, "dep.json",
+                     {"builder": "depolarizing", "p": 0.5})
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "qchan.cli", "analyze", path, "--choi"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.stderr == b""
+    assert proc.returncode == 1

@@ -162,6 +162,75 @@ def test_decompose_peels_at_most_rank_parts(ch):
     _check_peel(ch)
 
 
+def _null_reference(v, tol=1e-10):
+    """The least off-diagonal mass of a unit null element, the long way
+    (every null Hermitian matrix formed, then a full SVD of their
+    off-diagonal parts), and the largest singular value counted null."""
+    m = len(v)
+    basis = []
+    for i in range(m):
+        for j in range(m):
+            e = np.zeros((m, m), dtype=complex)
+            if i == j:
+                e[i, i] = 1
+            elif i < j:
+                e[i, j] = e[j, i] = 1 / np.sqrt(2)
+            else:
+                e[i, j], e[j, i] = 1j / np.sqrt(2), -1j / np.sqrt(2)
+            basis.append(e)
+    images = np.array([sum(e[j, k] * v[k].conj().T @ v[j]
+                           for j in range(m) for k in range(m)).reshape(-1)
+                       for e in basis])
+    u, s, _ = np.linalg.svd(np.concatenate([images.real, images.imag], 1))
+    rank = np.count_nonzero(s > tol * s[0])
+    null = np.tensordot(u[:, rank:].T, np.array(basis), 1)
+    offd = (null * (1 - np.eye(m))).reshape(len(null), -1)
+    sv = np.linalg.svd(np.concatenate([offd.real, offd.imag], 1),
+                       compute_uv=False)
+    return sv[-1] ** 2, (s[rank] if rank < len(s) else 0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_CHANNELS)
+@example(_near_unitary(255, 2, -5.0))
+def test_perturbation_is_the_least_offdiagonal_null_element(ch):
+    v = extremal._directions(ch)[0]
+    q = extremal._perturbation(v)
+    if q is None:
+        assert len(v) <= ch.dim and extremal.is_extremal_tp(ch)
+        return
+    m = len(v)
+    least, s_null = _null_reference(v)
+    assert np.array_equal(q, q.conj().T)
+    assert abs(np.linalg.norm(q) - 1) <= 1e-12
+    # a unit Q in the null space moves the map by at most its largest
+    # null singular value: rounding on exact null spaces, but up to the
+    # 1e-10 threshold where the products are nearly dependent
+    # (_near_unitary(255, 2, -5.0): 7.1e-12)
+    resid = sum(q[j, k] * v[k].conj().T @ v[j]
+                for j in range(m) for k in range(m))
+    assert np.linalg.norm(resid) <= s_null + 1e-12
+    offd = np.linalg.norm(q - np.diag(np.diag(q))) ** 2
+    assert abs(offd - least) <= 1e-12
+
+
+def test_perturbation_sign_rule():
+    """The largest-magnitude eigenvalue of Q is positive; the sign picks
+    which side of split_extremal is `left`."""
+    rng = np.random.default_rng(6)
+    seen = 0
+    for n in (2, 3):
+        for m in range(2, n * n + 1):
+            for _ in range(5):
+                v = extremal._directions(random_tp_channel(rng, n, m))[0]
+                q = extremal._perturbation(v)
+                if q is not None:
+                    w = np.linalg.eigvalsh(q)
+                    assert w[-1] >= -w[0]
+                    seen += 1
+    assert seen >= 40
+
+
 def test_decompose_two_unitary_mixture():
     """A mixture of two unitaries splits into two unitary components.
 

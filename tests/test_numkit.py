@@ -49,6 +49,17 @@ def test_partial_transpose_bell():
     assert np.abs(numkit.partial_transpose(pt, 2, 2, 1) - rho).max() < 1e-14
 
 
+@pytest.mark.parametrize("m", range(1, 10))
+def test_hermitian_basis_is_orthonormal(m):
+    basis = numkit.hermitian_basis(m)
+    assert basis.shape == (m * m, m, m)
+    assert np.array_equal(basis, basis.conj().transpose(0, 2, 1))
+    gram = np.einsum("aij,bij->ab", basis.conj(), basis)
+    assert np.abs(gram - np.eye(m * m)).max() <= 1e-14
+    # the diagonal units lead, so a Q's diagonal is its first m coordinates
+    assert np.array_equal(basis[:m], np.eye(m)[:, None] * np.eye(m))
+
+
 def test_require_hermitian():
     with pytest.raises(ValueError):
         numkit.require_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
