@@ -10,12 +10,16 @@ semidefinite program through its dual. All three optimizers certify
 their answer with a bound within 1e-8: the Holevo quantity a lower
 bound from an ensemble and the minimax upper bound, classical
 correlations the value of a POVM and the dual bound of the measurement
-linear program, the fidelity a primal value and its dual bound. The
-Holevo and correlation bounds are one computation, the minimum over the
-Bloch sphere of a concave entropy f(u) less an affine function, in the
-channel's or the state's Bloch frame. The solvers are numpy code sized
-to these problems: the measurement linear program has four rows and is
-solved by a dense simplex, the fidelity dual has three variables and is
+linear program, the fidelity a primal value and its dual bound.
+
+The Holevo quantity and classical correlations are one problem in the
+Bloch picture: weights on at most four sphere directions, weighed by a
+concave entropy f(u) in the channel's or the state's Bloch frame. They
+share one route: a four-row linear program over a grid of directions,
+solved by a dense simplex, then damped Newton steps on the optimality
+conditions, which differ only in how the weighted average of the
+directions is balanced. Both bounds are the minimum over the sphere of f
+less an affine function. The fidelity dual has three variables and is
 minimized by damped Newton steps.
 """
 
@@ -52,6 +56,8 @@ class Ensemble:
 
     def __init__(self, items):
         items = [(float(p), np.asarray(r, dtype=complex)) for p, r in items]
+        if any(p < 0 for p, _ in items):
+            raise ValueError("negative ensemble weight")
         total = sum(p for p, _ in items)
         if abs(total - 1) > 1e-12:
             raise ValueError("ensemble weights sum to %r" % total)
@@ -68,6 +74,8 @@ class Povm:
 
     def __init__(self, elements):
         elements = [np.asarray(e, dtype=complex) for e in elements]
+        if not elements:
+            raise ValueError("POVM has no elements")
         dim = elements[0].shape[0]
         for e in elements:
             if numkit.eigh(numkit.require_hermitian(e))[0].min() < -1e-9:
@@ -130,8 +138,8 @@ def _fibonacci_sphere(m):
     return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
 
 
-# directions of the Blahut-Arimoto stage, the measurement LP and the grid
-# minimum
+# directions of the linear program that starts both solvers and the
+# starting points of the sphere minimum
 _GRID = _fibonacci_sphere(400)
 # gap at which column generation stops; _certify accepts up to 1e-8
 _TARGET_GAP = 1e-10
@@ -219,13 +227,13 @@ def _tangent_curvature(u, hess, slope):
     return hess - np.sum(u * slope, axis=-1)[..., None, None] * np.eye(2)
 
 
-def _ascend(terms, move, x, cutoff=1e-10, iterations=100):
+def _ascend(terms, move, x, iterations=100):
     """Maximize by Newton steps on |Hessian|, halving until no decrease.
 
     terms(x) gives (value, gradient, Hessian) in local coordinates and
     move(x, step) the point those coordinates name. Eigenvalues of the
     Hessian are taken by magnitude, so every step points uphill;
-    directions whose curvature is below cutoff times the largest are
+    directions whose curvature is below 1e-10 times the largest are
     left alone. Stops when the gradient along the others is at rounding
     level or no step gains.
     """
@@ -233,7 +241,7 @@ def _ascend(terms, move, x, cutoff=1e-10, iterations=100):
     for _ in range(iterations):
         mu, v = np.linalg.eigh(h)
         mu = np.abs(mu)
-        gv = np.where(mu > cutoff * max(mu.max(), 1e-2), v.T @ g, 0.0)
+        gv = np.where(mu > 1e-10 * max(mu.max(), 1e-2), v.T @ g, 0.0)
         if np.abs(gv).max(initial=0.0) <= 1e-12:
             break
         step = v @ (gv / np.maximum(mu, 1e-300))
@@ -306,14 +314,142 @@ def _cluster(w, dirs):
     return mass[top] / mass[top].sum(), unit[top]
 
 
+# the _GRID points nearest the corners of a regular tetrahedron; they hold
+# the origin strictly inside, so they are a feasible basis of every
+# measurement LP whose first columns are _GRID
+_TETRAHEDRON = np.argmax(_GRID @ np.array(
+    [[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]).T, axis=0)
+# simplex pivots allowed per LP; up to about 15 are taken from that basis
+_PIVOTS = 100
+
+
+def _measurement_lp(frame, u):
+    """Weights c >= 0 on directions u minimizing sum c f(u) subject to
+    sum c = 1 and sum c u = 0, with the LP dual (y0, y).
+
+    A dense revised simplex on the four constraint rows, started from
+    the _TETRAHEDRON basis. The column of most negative reduced cost
+    f(u_j) - y0 - y.u_j enters, the lowest index on ties, and the ratio
+    test picks the column that leaves. Returns a vertex, so at most four
+    weights are nonzero, and the duals (y0, y) = f_B B^-1 of its basis.
+    Raises RuntimeError past _PIVOTS pivots.
+    """
+    cost = _frame_entropy(frame, u)
+    rows = np.vstack([np.ones(len(u)), u.T])
+    basis = _TETRAHEDRON.copy()
+    for _ in range(_PIVOTS):
+        inv = np.linalg.inv(rows[:, basis])
+        weights = np.maximum(inv[:, 0], 0.0)  # B^-1 (1, 0, 0, 0)
+        dual = cost[basis] @ inv
+        reduced = cost - dual @ rows
+        j = np.argmin(reduced)
+        if reduced[j] >= -1e-12:
+            c = np.zeros(len(u))
+            c[basis] = weights
+            return c, dual[0], dual[1:]
+        # the entries of d sum to 1 (the first row of B is ones), so
+        # some entry rises and the ratio test always has a candidate
+        d = inv @ rows[:, j]
+        rising = d > 1e-12
+        basis[np.argmin(np.where(rising, weights / np.where(rising, d, 1.0),
+                                 np.inf))] = j
+    raise RuntimeError("measurement LP not solved in %d pivots" % _PIVOTS)
+
+
+def _kkt_system(frame, c, u, y, y0, ensemble=False):
+    """Residual and Jacobian of the optimality conditions of a POVM or,
+    with ensemble set, of a pure-state ensemble for Holevo chi.
+
+    Both share: f(u_i) = y0 + y.u_i and the tangent part of grad f(u_i)
+    equals that of y (each u_i minimizes f - y.u at level y0), and sum c
+    = 1. The last three rows balance the average m = sum c u: a POVM
+    pins it, m = 0; an ensemble lets it float and ties the dual to it,
+    y = grad f(m). Unknowns in order: tangent steps of the u_i, c, y,
+    y0.
+    """
+    k = len(c)
+    m = c @ u
+    bases = _tangent_bases(u)
+    # f at m in ambient coordinates, at the u_i along (tangent, radial)
+    f, grad, hess = _frame_terms(frame, np.vstack([m, u]), np.concatenate(
+        [np.eye(3)[None], np.concatenate([bases, u[:, :, None]], axis=2)]))
+    gy = grad[1:] - y
+    slope = np.einsum("kab,ka->kb", bases, gy)
+    curv = _tangent_curvature(u, hess[1:, :2, :2], gy)
+    jac = np.zeros((3 * k + 4, 3 * k + 4))
+    if ensemble:
+        balance, dm = y - grad[0], -hess[0]
+        jac[3 * k + 1:, 3 * k:3 * k + 3] = np.eye(3)
+    else:
+        balance, dm = m, np.eye(3)
+    res = np.concatenate([f[1:] - y0 - u @ y, slope.ravel(), [c.sum() - 1],
+                          balance])
+    for i in range(k):
+        s, r = slice(2 * i, 2 * i + 2), slice(k + 2 * i, k + 2 * i + 2)
+        jac[i, s], jac[i, 3 * k:3 * k + 3], jac[i, -1] = slope[i], -u[i], -1
+        jac[r, s], jac[r, 3 * k:3 * k + 3] = curv[i], -bases[i].T
+        jac[3 * k, 2 * k + i] = 1
+        jac[3 * k + 1:, 2 * k + i] = dm @ u[i]
+        jac[3 * k + 1:, s] = dm @ (c[i] * bases[i])
+    return res, jac
+
+
+def _move_measurement(c, u, y, y0, step):
+    """Apply a step in the unknowns of _kkt_system; a weight that falls
+    to 0 leaves the support."""
+    k = len(c)
+    u = u + np.einsum("kai,ki->ka", _tangent_bases(u),
+                      step[:2 * k].reshape(k, 2))
+    c = c + step[2 * k:3 * k]
+    keep = c > 1e-12
+    return (c[keep], u[keep] / np.linalg.norm(u[keep], axis=1)[:, None],
+            y + step[3 * k:3 * k + 3], y0 + step[-1])
+
+
+def _polish_measurement(frame, c, u, y, y0, iterations=30, ensemble=False):
+    """Levenberg-Marquardt steps on _kkt_system, halving until the
+    residual falls.
+
+    The damping |residual| keeps convergence quadratic where the optimum
+    is not unique and the Jacobian is singular. Each step is the least-
+    squares solution of the Jacobian stacked on the damping: the normal
+    equations would square its condition number, which is already large
+    on near-constant channels. A step that would take a weight below 0
+    stops where it reaches 0.
+    """
+    res, jac = _kkt_system(frame, c, u, y, y0, ensemble)
+    for _ in range(iterations):
+        norm = np.linalg.norm(res)
+        if norm <= 1e-12:
+            break
+        step = -np.linalg.lstsq(np.vstack([jac, norm * np.eye(len(res))]),
+                                np.concatenate([res, np.zeros_like(res)]),
+                                rcond=None)[0]
+        k = len(c)
+        dc = step[2 * k:3 * k]
+        frac = min(1.0, (c[dc < 0] / -dc[dc < 0]).min(initial=np.inf))
+        for tau in frac * 0.5 ** np.arange(10):
+            cand = _move_measurement(c, u, y, y0, tau * step)
+            res_new, jac_new = _kkt_system(frame, *cand, ensemble)
+            if len(cand[0]) < k or np.linalg.norm(res_new) < norm:
+                break
+        else:
+            break
+        (c, u, y, y0), res, jac = cand, res_new, jac_new
+    # the last four rows to rounding: the stationarity rows can stall at a
+    # rounding floor that the least-squares step shares out
+    for _ in range(2):
+        step = -np.linalg.lstsq(jac[-4:], res[-4:], rcond=None)[0]
+        c, u, y, y0 = _move_measurement(c, u, y, y0, step)
+        res, jac = _kkt_system(frame, c, u, y, y0, ensemble)
+    return c, u, y, y0
+
+
 # --- Holevo quantity ----------------------------------------------------------
 
 def _bloch_rho(u):
     return (np.eye(2, dtype=complex) + u[0] * qubit.SX + u[1] * qubit.SY
             + u[2] * qubit.SZ) / 2
-
-
-_BA_ITERATIONS = 300
 
 
 def _divergence_affine(frame, w, u):
@@ -341,89 +477,6 @@ def _chi_value(frame, w, u):
     return f[0] - w @ f[1:]
 
 
-def _simplex_basis(k):
-    """Orthonormal basis (k, k - 1) of the weight changes summing to 0."""
-    return np.linalg.svd(np.ones((1, k)))[2][1:].T
-
-
-def _chi_terms(frame, w, u):
-    """chi of the pure-state ensemble (w, u), with gradient and Hessian.
-
-    Derivatives are taken in the weights, restricted to sum(w) = 1 by
-    the orthonormal basis z of that plane, and in the tangent planes of
-    the input directions. With y = grad f(ubar), direction u_i's own
-    block is -w_i times the sphere Hessian of f - y.u at u_i; the rest
-    is the Hessian of f at ubar seen through d ubar.
-    """
-    k = len(w)
-    bases = _tangent_bases(u)
-    # f at ubar in ambient coordinates, at the u_i along (tangent, radial)
-    frames = np.concatenate([np.eye(3)[None],
-                             np.concatenate([bases, u[:, :, None]], axis=2)])
-    f, g, h = _frame_terms(frame, np.vstack([w @ u, u]), frames)
-    gy = g[1:] - g[0]
-    slope = -np.einsum("kam,ka->km", bases, gy)
-    curv = _tangent_curvature(u, h[1:, :2, :2], gy)
-    z = _simplex_basis(k)
-    jac = np.concatenate([u.T @ z, (w[:, None, None] * bases).transpose(
-        1, 0, 2).reshape(3, 2 * k)], axis=1)
-    hess = jac.T @ h[0] @ jac
-    cross = (z.T[:, :, None] * slope).reshape(k - 1, 2 * k)
-    hess[:k - 1, k - 1:] += cross
-    hess[k - 1:, :k - 1] += cross.T
-    own = np.zeros((k, 2, k, 2))
-    own[np.arange(k), :, np.arange(k), :] = w[:, None, None] * curv
-    hess[k - 1:, k - 1:] -= own.reshape(2 * k, 2 * k)
-    grad = np.concatenate([z.T @ (u @ g[0] - f[1:]),
-                           (w[:, None] * slope).ravel()])
-    return f[0] - w @ f[1:], grad, hess
-
-
-def _move_ensemble(ens, step):
-    """Step an ensemble, stopping where a weight reaches 0; it then leaves."""
-    w, u = ens
-    k = len(w)
-    dw = _simplex_basis(k) @ step[:k - 1]
-    falling = dw < 0
-    frac = min(1.0, (w[falling] / -dw[falling]).min(initial=np.inf))
-    w = w + frac * dw
-    u = u + frac * np.einsum("iac,ic->ia", _tangent_bases(u),
-                             step[k - 1:].reshape(k, 2))
-    keep = w > 1e-15
-    return (w[keep] / w[keep].sum(),
-            u[keep] / np.linalg.norm(u[keep], axis=1)[:, None])
-
-
-def _polish_ensemble(frame, w, u):
-    """Newton ascent of chi in the weights and directions of (w, u).
-
-    A second pass moves only along well-curved directions. Nearly flat
-    ones (inputs whose outputs are almost pure) can keep the first pass
-    taking long steps, which leaves the average output off balance; the
-    second pass settles it.
-    """
-    def terms(ens):
-        return _chi_terms(frame, *ens)
-
-    ens = _ascend(terms, _move_ensemble, (w, u))[0]
-    return _ascend(terms, _move_ensemble, ens, cutoff=1e-4)[0]
-
-
-def _blahut_arimoto(frame):
-    """Weights on _GRID after _BA_ITERATIONS of w <- w 2^D(r_i || rbar).
-
-    D - max D does not see kappa, so each sweep needs only y and the
-    output entropies on _GRID, which are computed once.
-    """
-    f = _frame_entropy(frame, _GRID)
-    w = np.full(len(_GRID), 1 / len(_GRID))
-    for _ in range(_BA_ITERATIONS):
-        d = _GRID @ _divergence_affine(frame, w, _GRID)[1] - f
-        w = w * np.exp2(d - d.max())
-        w /= w.sum()
-    return w
-
-
 def _chi_bounds(frame, w, u):
     """chi of the ensemble (w, u), the minimax bound at its average output,
     and the input direction attaining that bound.
@@ -438,22 +491,18 @@ def _chi_bounds(frame, w, u):
 
 def _chi_primal_dual(frame):
     """Ensemble (w, u) with its chi and a minimax upper bound."""
-    w, u = _cluster(_blahut_arimoto(frame), _GRID)
-    if len(w) < 2:  # one state carries no information; start from a pair
-        w, u = np.array([0.5, 0.5]), np.concatenate([u, -u])
+    c, y0, y = _measurement_lp(frame, _GRID)
+    w, u = _cluster(c, _GRID)
     for k in range(_ROUNDS):
-        w, u = _polish_ensemble(frame, w, u)
+        w, u, y, y0 = _polish_measurement(frame, w, u, y, y0, ensemble=True)
+        if len(w) < 2:  # one state carries no information; use a pair
+            w, u = np.array([0.5, 0.5]), np.concatenate([u, -u])
         lower, upper, u_star = _chi_bounds(frame, w, u)
         if upper - lower <= _TARGET_GAP or k == _ROUNDS - 1:
             break
         w, u = np.append(0.99 * w, 0.01), np.vstack([u, u_star])
-    # antipodal pairs along the cardinal axes, exact for clean channels;
-    # every sigma gives a bound, so the lower of the two is kept
-    for axis in np.eye(3):
-        pair = (np.array([0.5, 0.5]), np.array([axis, -axis]))
-        if _chi_value(frame, *pair) >= lower:
-            (w, u), (lower, pair_upper, _) = pair, _chi_bounds(frame, *pair)
-            upper = min(upper, pair_upper)
+        y = _frame_terms(frame, (w @ u)[None], np.eye(3)[None])[1][0]
+        y0 = w @ (_frame_entropy(frame, u) - u @ y)
     return w, u, lower, upper
 
 
@@ -461,19 +510,22 @@ def holevo_chi(ch):
     """Maximize S(out of average) - average output entropy over ensembles.
 
     Works on the Bloch map r = t + lam u of the channel, as the frame
-    (0, t, lam^T) of the sphere toolkit. A lower bound comes from a
-    pure-state ensemble: Blahut-Arimoto weights on a grid of input
-    directions, merged into at most four points and polished by Newton
-    steps on weights and directions, with the cardinal antipodal pairs
-    as extra candidates (exact for clean channels like the identity).
-    The upper bound is the minimax one, chi <= max over pure psi of
-    D(Phi(psi) || sigma), at sigma the output of the ensemble's average;
-    the divergence is an affine function less the output entropy, so
-    the maximum is the sphere minimum that also bounds classical
-    correlations. While the gap is wide the maximizer joins the ensemble
-    and the polish runs again. The ensemble is rebuilt as density
-    matrices and its value recomputed from them. Raises RuntimeError if
-    the upper bound is more than 1e-8 above that value.
+    (0, t, lam^T) of the sphere toolkit, and takes the route of
+    classical correlations. A lower bound comes from a pure-state
+    ensemble: the measurement linear program over a grid of input
+    directions gives the best grid ensemble of average input I / 2,
+    merged into at most four points; damped Newton (Levenberg-Marquardt)
+    steps on the optimality conditions then polish weights and
+    directions with the average free and the dual y tied to it, y =
+    grad f(average). The upper bound is the minimax one (Schumacher and
+    Westmoreland), chi <= max over pure psi of D(Phi(psi) || sigma), at
+    sigma the output of the ensemble's average; the divergence is an
+    affine function less the output entropy, so the maximum is the
+    sphere minimum that also bounds classical correlations. While the
+    gap is wide the maximizer joins the ensemble and the polish runs
+    again. The ensemble is rebuilt as density matrices and its value
+    recomputed from them. Raises RuntimeError if the upper bound is more
+    than 1e-8 above that value.
     """
     qubit._require_qubit_tp(ch)
     p = qubit.ptm(ch)
@@ -492,7 +544,7 @@ def holevo_chi(ch):
     # 0 <= chi <= 1 for a qubit; a constant channel's entropies cancel to
     # 0 or -0.0, a unitary's to 1 plus rounding
     return ChiResult(min(max(0.0, float(recomputed)), 1.0), ens,
-                     "blahut-arimoto minimax", float(upper))
+                     "lp-kkt minimax", float(upper))
 
 
 def _channel_concurrence_pair(a1, a2):
@@ -564,122 +616,6 @@ def _correlation_frame(rho_ab, measured_first):
     if not measured_first:
         r = r.T
     return r[1:, 0], r[0, 1:], r[1:, 1:]
-
-
-# the _GRID points nearest the corners of a regular tetrahedron; they hold
-# the origin strictly inside, so they are a feasible basis of every
-# measurement LP whose first columns are _GRID
-_TETRAHEDRON = np.argmax(_GRID @ np.array(
-    [[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]).T, axis=0)
-# simplex pivots allowed per LP; up to about 15 are taken from that basis
-_PIVOTS = 100
-
-
-def _measurement_lp(frame, u):
-    """Weights c >= 0 on directions u minimizing sum c f(u) subject to
-    sum c = 1 and sum c u = 0, with the LP dual (y0, y).
-
-    A dense revised simplex on the four constraint rows, started from
-    the _TETRAHEDRON basis. The column of most negative reduced cost
-    f(u_j) - y0 - y.u_j enters, the lowest index on ties, and the ratio
-    test picks the column that leaves. Returns a vertex, so at most four
-    weights are nonzero, and the duals (y0, y) = f_B B^-1 of its basis.
-    Raises RuntimeError past _PIVOTS pivots.
-    """
-    cost = _frame_entropy(frame, u)
-    rows = np.vstack([np.ones(len(u)), u.T])
-    basis = _TETRAHEDRON.copy()
-    for _ in range(_PIVOTS):
-        inv = np.linalg.inv(rows[:, basis])
-        weights = np.maximum(inv[:, 0], 0.0)  # B^-1 (1, 0, 0, 0)
-        dual = cost[basis] @ inv
-        reduced = cost - dual @ rows
-        j = np.argmin(reduced)
-        if reduced[j] >= -1e-12:
-            c = np.zeros(len(u))
-            c[basis] = weights
-            return c, dual[0], dual[1:]
-        # the entries of d sum to 1 (the first row of B is ones), so
-        # some entry rises and the ratio test always has a candidate
-        d = inv @ rows[:, j]
-        rising = d > 1e-12
-        basis[np.argmin(np.where(rising, weights / np.where(rising, d, 1.0),
-                                 np.inf))] = j
-    raise RuntimeError("measurement LP not solved in %d pivots" % _PIVOTS)
-
-
-def _kkt_system(frame, c, u, y, y0):
-    """Residual and Jacobian of the optimality conditions of a POVM.
-
-    Conditions: f(u_i) = y0 + y.u_i and the tangent part of grad f(u_i)
-    equals that of y (each u_i minimizes f - y.u at level y0), sum c = 1
-    and sum c u = 0. Unknowns in order: tangent steps of the u_i, c, y,
-    y0.
-    """
-    k = len(c)
-    bases = _tangent_bases(u)
-    f, grad, hess = _frame_terms(frame, u, bases)
-    gy = grad - y
-    slope = np.einsum("kab,ka->kb", bases, gy)
-    curv = _tangent_curvature(u, hess, gy)
-    res = np.concatenate([f - y0 - u @ y, slope.ravel(), [c.sum() - 1],
-                          c @ u])
-    jac = np.zeros((3 * k + 4, 3 * k + 4))
-    for i in range(k):
-        s, r = slice(2 * i, 2 * i + 2), slice(k + 2 * i, k + 2 * i + 2)
-        jac[i, s], jac[i, 3 * k:3 * k + 3], jac[i, -1] = slope[i], -u[i], -1
-        jac[r, s], jac[r, 3 * k:3 * k + 3] = curv[i], -bases[i].T
-        jac[3 * k, 2 * k + i] = 1
-        jac[3 * k + 1:, 2 * k + i] = u[i]
-        jac[3 * k + 1:, s] = c[i] * bases[i]
-    return res, jac
-
-
-def _move_measurement(c, u, y, y0, step):
-    """Apply a step in the unknowns of _kkt_system; a weight that falls
-    to 0 leaves the support."""
-    k = len(c)
-    u = u + np.einsum("kai,ki->ka", _tangent_bases(u),
-                      step[:2 * k].reshape(k, 2))
-    c = c + step[2 * k:3 * k]
-    keep = c > 1e-12
-    return (c[keep], u[keep] / np.linalg.norm(u[keep], axis=1)[:, None],
-            y + step[3 * k:3 * k + 3], y0 + step[-1])
-
-
-def _polish_measurement(frame, c, u, y, y0, iterations=30):
-    """Levenberg-Marquardt steps on _kkt_system, halving until the
-    residual falls.
-
-    The damping |residual|^2 keeps convergence quadratic where optimal
-    POVMs are not unique and the Jacobian is singular. A step that would
-    take a weight below 0 stops where it reaches 0.
-    """
-    res, jac = _kkt_system(frame, c, u, y, y0)
-    for _ in range(iterations):
-        norm = np.linalg.norm(res)
-        if norm <= 1e-12:
-            break
-        step = -np.linalg.solve(jac.T @ jac + norm ** 2 * np.eye(len(res)),
-                                jac.T @ res)
-        k = len(c)
-        dc = step[2 * k:3 * k]
-        frac = min(1.0, (c[dc < 0] / -dc[dc < 0]).min(initial=np.inf))
-        for tau in frac * 0.5 ** np.arange(10):
-            cand = _move_measurement(c, u, y, y0, tau * step)
-            res_new, jac_new = _kkt_system(frame, *cand)
-            if len(cand[0]) < k or np.linalg.norm(res_new) < norm:
-                break
-        else:
-            break
-        (c, u, y, y0), res, jac = cand, res_new, jac_new
-    # sum c = 1 and sum c u = 0 to rounding: the stationarity rows can
-    # stall at a rounding floor that the least-squares step shares out
-    for _ in range(2):
-        step = -np.linalg.lstsq(jac[-4:], res[-4:], rcond=None)[0]
-        c, u, y, y0 = _move_measurement(c, u, y, y0, step)
-        res, jac = _kkt_system(frame, c, u, y, y0)
-    return c, u, y, y0
 
 
 def _correlation_primal_dual(rho_ab, side):

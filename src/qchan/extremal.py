@@ -109,7 +109,12 @@ def find_perturbation(ch, tol=_NULL_TOL):
     follow the Choi eigenstructure whenever they can), written for the
     A_i and normalized to unit Frobenius norm.
     """
-    v, norms = _directions(ch)
+    return _kraus_perturbation(*_directions(ch), tol)
+
+
+def _kraus_perturbation(v, norms, tol=_NULL_TOL):
+    """_perturbation of the directions v written for the Kraus operators
+    norms_i v_i, at unit Frobenius norm, or None."""
     q = _perturbation(v, tol)
     if q is None:
         return None
@@ -181,10 +186,10 @@ def split_extremal(ch):
     both ways to the boundary of its face, to I + s_- Q and I - s_+ Q,
     which mix back with weight s_+ / (s_+ + s_-); both have rank < m.
     """
-    q = find_perturbation(ch)
+    v, norms = _directions(ch)
+    q = _kraus_perturbation(v, norms)
     if q is None:
         raise AlreadyExtremalError("channel is extremal, nothing to split")
-    v, norms = _directions(ch)
     left, s_minus = _face_step(np.diag(norms), *numkit.eigh(-q))
     right, s_plus = _face_step(np.diag(norms), *numkit.eigh(q))
     return ExtremalSplit(float(s_plus / (s_plus + s_minus)),

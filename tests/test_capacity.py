@@ -44,6 +44,18 @@ def test_ensemble_and_povm_validation():
         capacity.Povm([e0, e0])
 
 
+def test_ensemble_rejects_a_negative_weight():
+    # the weights sum to 1, but the average has eigenvalue -0.5
+    with pytest.raises(ValueError, match="negative"):
+        capacity.Ensemble([(1.5, np.diag([1.0, 0.0])),
+                           (-0.5, np.diag([0.0, 1.0]))])
+
+
+def test_povm_rejects_no_elements():
+    with pytest.raises(ValueError, match="no elements"):
+        capacity.Povm([])
+
+
 def test_quantum_capacity_phase_flip():
     val = capacity.quantum_capacity_rank2_unital(channel.phase_flip(0.1))
     assert abs(val - 0.5310044064107189) < 1e-9
@@ -73,7 +85,7 @@ def test_quantum_capacity_hypothesis_gates():
 def test_holevo_chi_identity_exact():
     res = capacity.holevo_chi(channel.identity(2))
     assert res.chi == 1.0
-    assert res.method == "blahut-arimoto minimax"
+    assert res.method == "lp-kkt minimax"
     assert 0 <= res.upper_bound - res.chi <= 1e-8
 
 
@@ -115,9 +127,10 @@ def test_holevo_chi_known_values(ch, value, tol):
 
 
 def test_holevo_chi_raises_on_a_wide_gap(monkeypatch):
-    # the unpolished Blahut-Arimoto ensemble is far from optimal
-    monkeypatch.setattr(capacity, "_polish_ensemble",
-                        lambda frame, w, u: (w, u))
+    # the unpolished grid ensemble of average input I / 2 is far from
+    # optimal
+    monkeypatch.setattr(capacity, "_polish_measurement",
+                        lambda frame, c, u, y, y0, **mode: (c, u, y, y0))
     with pytest.raises(RuntimeError, match="not certified"):
         capacity.holevo_chi(channel.amplitude_damping(0.5))
 
@@ -190,6 +203,25 @@ def test_holevo_chi_near_unitary(seed, log_eps, rank):
     assert 0 <= res.upper_bound - res.chi <= 1e-8
     assert abs(_ensemble_chi(ch, res.ensemble.items) - res.chi) <= 1e-9
     assert _cardinal_pair_chi(ch) - 1e-12 <= res.chi <= 1
+
+
+@settings(max_examples=30, deadline=None)
+@given(_SEEDS, st.floats(-10, -4), st.integers(1, 2), st.integers(1, 4))
+# the normal equations of the damped step were singular here
+@example(1394813165, -5.28, 2, 1)
+def test_holevo_chi_near_constant(seed, log_eps, rank, noise_rank):
+    """(1 - eps) R + eps N, R a replacer to a pure or mixed state: f is
+    flat on the sphere but for terms of order eps, chi is of order
+    eps^2, and the optimality conditions are nearly singular."""
+    rng = np.random.default_rng(seed)
+    eps = 10 ** log_eps
+    target = channel.replacer(random_density(rng, 2, rank)).kraus
+    noise = random_tp_channel(rng, 2, noise_rank).kraus
+    ch = channel.Channel([np.sqrt(1 - eps) * k for k in target]
+                         + [np.sqrt(eps) * k for k in noise])
+    res = capacity.holevo_chi(ch)
+    assert 0 <= res.upper_bound - res.chi <= 1e-8
+    assert abs(_ensemble_chi(ch, res.ensemble.items) - res.chi) <= 1e-9
 
 
 def _cluster_by_loop(w, dirs):

@@ -155,8 +155,8 @@ def _one_error_line(capsys):
 
 def test_analyze_uncertified_chi_exits_one(tmp_path, capsys, monkeypatch):
     # a failed certificate is a failure of the run, not a skipped analysis
-    monkeypatch.setattr(capacity, "_polish_ensemble",
-                        lambda frame, w, u: (w, u))
+    monkeypatch.setattr(capacity, "_polish_measurement",
+                        lambda frame, c, u, y, y0, **mode: (c, u, y, y0))
     path = write_doc(tmp_path, "ad.json",
                      {"builder": "amplitude_damping", "gamma": 0.5})
     assert run(["analyze", path, "--capacities"]) == 1
@@ -307,7 +307,7 @@ def test_text_format_mentions_key_results(tmp_path, capsys):
     assert "rank: 2" in out
     assert "f_max=0.750000000" in out
     assert "breaking=no" in out
-    assert "holevo_chi=0.471729391 (blahut-arimoto minimax, gap " in out
+    assert "holevo_chi=0.471729391 (lp-kkt minimax, gap " in out
 
 
 def test_one_parser_serves_every_call(tmp_path, capsys, monkeypatch):

@@ -81,6 +81,23 @@ def test_split_extremal():
     assert extremal.is_extremal_tp(sp.left)
 
 
+def test_split_extremal_derives_the_kraus_directions_once(monkeypatch):
+    kraus_from_choi = channel.kraus_from_choi
+    calls = []
+
+    def counted(pair):
+        calls.append(pair)
+        return kraus_from_choi(pair)
+
+    monkeypatch.setattr(channel, "kraus_from_choi", counted)
+    sp = extremal.split_extremal(channel.depolarizing(0.5))
+    assert len(calls) == 1
+    monkeypatch.undo()
+    # the Q of find_perturbation, rescaled the same way
+    q = extremal.find_perturbation(channel.depolarizing(0.5))
+    assert np.abs(sp.q - q).max() == 0
+
+
 @pytest.mark.filterwarnings("error")
 def test_decompose_into_extremals():
     rng = np.random.default_rng(2)

@@ -1,3 +1,4 @@
+import ast
 import glob
 import json
 import os
@@ -94,3 +95,39 @@ def test_demo_runs_clean(demo):
     proc = run_python("-W", "error::RuntimeWarning", demo)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+def _defined_names(node):
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return {node.name}
+    if isinstance(node, ast.Assign):
+        return {t.id for t in node.targets if isinstance(t, ast.Name)}
+    return set()
+
+
+def test_every_private_module_name_is_used():
+    """Each module-level _name in qchan is read somewhere in qchan other
+    than in its own definition: a helper whose last caller went is
+    deleted with it."""
+    package = os.path.dirname(qchan.__file__)
+    defined, used = {}, set()
+    for path in sorted(glob.glob(os.path.join(package, "*.py"))):
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        for top in tree.body:
+            own = _defined_names(top)
+            for name in own:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined[name] = os.path.basename(path)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and isinstance(node.ctx,
+                                                             ast.Load):
+                    ref = node.id
+                elif isinstance(node, ast.Attribute):
+                    ref = node.attr
+                else:
+                    continue
+                if ref not in own:
+                    used.add(ref)
+    assert len(defined) > 50
+    assert {n: m for n, m in defined.items() if n not in used} == {}
