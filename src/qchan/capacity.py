@@ -19,8 +19,10 @@ share one route: a four-row linear program over a grid of directions,
 solved by a dense simplex, then damped Newton steps on the optimality
 conditions, which differ only in how the weighted average of the
 directions is balanced. Both bounds are the minimum over the sphere of f
-less an affine function. The fidelity dual has three variables and is
-minimized by damped Newton steps.
+less an affine function, found by Newton steps from the best grid
+directions and the solution's own, all polished in one batch. The
+fidelity dual has three variables and is minimized by damped Newton
+steps.
 """
 
 import numpy as np
@@ -227,65 +229,53 @@ def _tangent_curvature(u, hess, slope):
     return hess - np.sum(u * slope, axis=-1)[..., None, None] * np.eye(2)
 
 
-def _ascend(terms, move, x, iterations=100):
-    """Maximize by Newton steps on |Hessian|, halving until no decrease.
-
-    terms(x) gives (value, gradient, Hessian) in local coordinates and
-    move(x, step) the point those coordinates name. Eigenvalues of the
-    Hessian are taken by magnitude, so every step points uphill;
-    directions whose curvature is below 1e-10 times the largest are
-    left alone. Stops when the gradient along the others is at rounding
-    level or no step gains.
-    """
-    f, g, h = terms(x)
-    for _ in range(iterations):
-        mu, v = np.linalg.eigh(h)
-        mu = np.abs(mu)
-        gv = np.where(mu > 1e-10 * max(mu.max(), 1e-2), v.T @ g, 0.0)
-        if np.abs(gv).max(initial=0.0) <= 1e-12:
-            break
-        step = v @ (gv / np.maximum(mu, 1e-300))
-        tau = 1.0
-        while tau > 1e-12:
-            x_new = move(x, tau * step)
-            f_new, g_new, h_new = terms(x_new)
-            if f_new >= f - 1e-14:
-                break
-            tau /= 2
-        else:
-            break
-        x, f, g, h = x_new, f_new, g_new, h_new
-    return x, f
-
-
-def _move_on_sphere(u, step):
-    """The unit vector a tangent-plane step away from u."""
-    v = u + _tangent_bases(u[None])[0] @ step
-    return v / np.linalg.norm(v)
-
-
 def _sphere_min(frame, y0, y, starts):
     """A lower bound on min over the sphere of f(u) - y0 - y.u, and the
     direction attaining the minimum found.
 
-    The three best points of _GRID and the given starts are polished by
-    Newton steps on the sphere. The minimum found is lowered by an
-    allowance for rounding in f (below 2 bits) and in the affine part.
+    The three best points of _GRID and the given starts are polished
+    together by Newton steps on the sphere: each pass evaluates every
+    start still moving once. A start's step takes the Hessian's
+    eigenvalues by magnitude, so it always points downhill, and leaves
+    alone directions whose curvature is below 1e-10 times the largest. A
+    step that raises the value by more than 1e-14 is halved instead.
+    A start stops when its gradient is at rounding level, when its step
+    is halved below 1e-12 or after 100 steps. The minimum found is
+    lowered by an allowance for rounding in f (below 2 bits) and in the
+    affine part.
     """
     vals = _frame_entropy(frame, _GRID) - _GRID @ y
-    starts = np.concatenate([_GRID[np.argsort(vals)[:3]], starts])
-
-    def terms(u):
-        bases = _tangent_bases(u[None])
-        f, grad, hess = _frame_terms(frame, u[None], bases)
-        gy = grad[0] - y
-        return (y @ u - f[0], -(gy @ bases[0]),
-                -_tangent_curvature(u, hess[0], gy))
-
-    u, val = max((_ascend(terms, _move_on_sphere, u0) for u0 in starts),
-                 key=lambda p: p[1])
+    u = np.concatenate([_GRID[np.argsort(vals)[:3]], starts])
+    k = len(u)
+    # per start: its value, its Newton step, tried at tau times its
+    # length, and the number of steps it has taken
+    val, step = np.full(k, np.inf), np.zeros((k, 3))
+    tau, steps, done = np.ones(k), np.zeros(k, dtype=int), np.zeros(k, bool)
+    live, cand = np.arange(k), u
+    while live.size:
+        bases = _tangent_bases(cand)
+        f, grad, hess = _frame_terms(frame, cand, bases)
+        cval = f - cand @ y
+        ok = cval <= val[live] + 1e-14
+        i, bases, gy = live[ok], bases[ok], grad[ok] - y
+        u[i], val[i] = cand[ok], cval[ok]
+        mu, v = np.linalg.eigh(_tangent_curvature(u[i], hess[ok], gy))
+        mu = np.abs(mu)
+        gv = np.where(mu > 1e-10 * np.maximum(mu.max(axis=1), 1e-2)[:, None],
+                      np.einsum("kab,ka->kb", v,
+                                np.einsum("kab,ka->kb", bases, gy)), 0.0)
+        step[i] = -np.einsum("kab,kb->ka", bases, np.einsum(
+            "kab,kb->ka", v, gv / np.maximum(mu, 1e-300)))
+        tau[i] = 1.0
+        tau[live[~ok]] /= 2
+        done[i] = (np.abs(gv).max(axis=1) <= 1e-12) | (steps[i] == 100)
+        steps[i] += 1
+        live = live[~done[live] & (tau[live] > 1e-12)]
+        cand = u[live] + tau[live, None] * step[live]
+        cand /= np.linalg.norm(cand, axis=1)[:, None]
+    best = np.argmin(val)
     allowance = 256 * np.finfo(float).eps * (1 + abs(y0) + np.linalg.norm(y))
-    return -val - y0 - allowance, u
+    return val[best] - y0 - allowance, u[best]
 
 
 def _cluster(w, dirs):
@@ -370,19 +360,21 @@ def _kkt_system(frame, c, u, y, y0, ensemble=False):
     k = len(c)
     m = c @ u
     bases = _tangent_bases(u)
-    # f at m in ambient coordinates, at the u_i along (tangent, radial)
-    f, grad, hess = _frame_terms(frame, np.vstack([m, u]), np.concatenate(
-        [np.eye(3)[None], np.concatenate([bases, u[:, :, None]], axis=2)]))
-    gy = grad[1:] - y
-    slope = np.einsum("kab,ka->kb", bases, gy)
-    curv = _tangent_curvature(u, hess[1:, :2, :2], gy)
     jac = np.zeros((3 * k + 4, 3 * k + 4))
     if ensemble:
+        # f at m in ambient coordinates, at the u_i along (tangent, radial)
+        f, grad, hess = _frame_terms(frame, np.vstack([m, u]), np.concatenate(
+            [np.eye(3)[None], np.concatenate([bases, u[:, :, None]], axis=2)]))
         balance, dm = y - grad[0], -hess[0]
+        f, grad, hess = f[1:], grad[1:], hess[1:, :2, :2]
         jac[3 * k + 1:, 3 * k:3 * k + 3] = np.eye(3)
     else:
+        f, grad, hess = _frame_terms(frame, u, bases)
         balance, dm = m, np.eye(3)
-    res = np.concatenate([f[1:] - y0 - u @ y, slope.ravel(), [c.sum() - 1],
+    gy = grad - y
+    slope = np.einsum("kab,ka->kb", bases, gy)
+    curv = _tangent_curvature(u, hess, gy)
+    res = np.concatenate([f - y0 - u @ y, slope.ravel(), [c.sum() - 1],
                           balance])
     for i in range(k):
         s, r = slice(2 * i, 2 * i + 2), slice(k + 2 * i, k + 2 * i + 2)

@@ -279,6 +279,117 @@ def test_sphere_hessian_of_unitary_channels_vanishes():
     assert worst <= 1e-12
 
 
+def _descend_one_start(frame, y, u):
+    """Newton steps on f - y.u from one sphere point u, with the rules of
+    capacity._sphere_min: |Hessian| eigenvalues cut at 1e-10 of the
+    largest, a stop at gradient 1e-12, halving while the value rises by
+    more than 1e-14 down to 1e-12, and at most 100 steps."""
+    def terms(u):
+        bases = capacity._tangent_bases(u[None])
+        f, grad, hess = capacity._frame_terms(frame, u[None], bases)
+        gy = grad[0] - y
+        return (f[0] - y @ u, gy @ bases[0],
+                capacity._tangent_curvature(u, hess[0], gy), bases[0])
+
+    val, g, h, bases = terms(u)
+    for _ in range(100):
+        mu, v = np.linalg.eigh(h)
+        mu = np.abs(mu)
+        gv = np.where(mu > 1e-10 * max(mu.max(), 1e-2), v.T @ g, 0.0)
+        if np.abs(gv).max() <= 1e-12:
+            break
+        step = -bases @ v @ (gv / np.maximum(mu, 1e-300))
+        tau = 1.0
+        while tau > 1e-12:
+            u_new = u + tau * step
+            u_new /= np.linalg.norm(u_new)
+            new = terms(u_new)
+            if new[0] <= val + 1e-14:
+                break
+            tau /= 2
+        else:
+            break
+        u, (val, g, h, bases) = u_new, new
+    return val, u
+
+
+def _allowance(y0, y):
+    return 256 * np.finfo(float).eps * (1 + abs(y0) + np.linalg.norm(y))
+
+
+def _sphere_min_by_loop(frame, y0, y, starts):
+    """capacity._sphere_min written out one start at a time."""
+    vals = capacity._frame_entropy(frame, capacity._GRID) - capacity._GRID @ y
+    val, u = min((_descend_one_start(frame, y, u0) for u0 in np.concatenate(
+        [capacity._GRID[np.argsort(vals)[:3]], starts])), key=lambda p: p[0])
+    return val - y0 - _allowance(y0, y), u
+
+
+def _recorded_sphere_mins(run, *args):
+    """The arguments (frame, y0, y, starts) of each capacity._sphere_min
+    call that run(*args) makes."""
+    calls, real = [], capacity._sphere_min
+
+    def record(*call):
+        calls.append(call)
+        return real(*call)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(capacity, "_sphere_min", record)
+        run(*args)
+    return calls
+
+
+def _objective(frame, y0, y, u):
+    return capacity._frame_entropy(frame, u) - y0 - u @ y
+
+
+def test_sphere_min_matches_one_start_at_a_time():
+    """Every start polished in one batch gives the bound of polishing
+    them in turn, on the calls that holevo_chi makes for 60 random
+    channels and classical_correlations for 60 random states."""
+    calls = []
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        calls += _recorded_sphere_mins(
+            capacity.holevo_chi, random_tp_channel(rng, 2, 1 + seed % 4))
+        rho = random_density(rng, 4, 1 + seed % 4)
+        for side in "ab":
+            calls += _recorded_sphere_mins(
+                capacity.classical_correlations, rho, side)
+    assert len(calls) >= 180
+    for frame, y0, y, starts in calls:
+        low, u = capacity._sphere_min(frame, y0, y, starts)
+        low_loop, u_loop = _sphere_min_by_loop(frame, y0, y, starts)
+        assert abs(low - low_loop) <= 1e-14
+        # minima that tie to rounding may swap
+        at = _objective(frame, y0, y, np.array([u, u_loop]))
+        assert abs(at[0] - at[1]) <= 1e-14
+
+
+_DENSE = capacity._fibonacci_sphere(20000)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_SEEDS, st.integers(1, 4), st.sampled_from(["chi", "a", "b"]))
+def test_sphere_min_is_a_lower_bound(seed, rank, kind):
+    """On the calls of the solvers, the bound lies below f - y0 - y.u on a
+    dense grid, and the direction returned attains it up to the
+    rounding allowance."""
+    rng = np.random.default_rng(seed)
+    if kind == "chi":
+        calls = _recorded_sphere_mins(capacity.holevo_chi,
+                                      random_tp_channel(rng, 2, rank))
+    else:
+        calls = _recorded_sphere_mins(capacity.classical_correlations,
+                                      random_density(rng, 4, rank), kind)
+    for frame, y0, y, starts in calls:
+        low, u = capacity._sphere_min(frame, y0, y, starts)
+        assert low <= _objective(frame, y0, y, _DENSE).min()
+        assert (_objective(frame, y0, y, u[None])[0] - low
+                <= _allowance(y0, y) + 1e-14)
+
+
 def test_chi_given_average_known_value():
     ch = channel.amplitude_damping(0.5)
     val = capacity.chi_given_average(ch, np.eye(2) / 2)
