@@ -430,10 +430,11 @@ def _polish_measurement(frame, c, u, y, y0, iterations=30, ensemble=False):
         (c, u, y, y0), res, jac = cand, res_new, jac_new
     # the last four rows to rounding: the stationarity rows can stall at a
     # rounding floor that the least-squares step shares out
-    for _ in range(2):
+    for last in (False, True):
         step = -np.linalg.lstsq(jac[-4:], res[-4:], rcond=None)[0]
         c, u, y, y0 = _move_measurement(c, u, y, y0, step)
-        res, jac = _kkt_system(frame, c, u, y, y0, ensemble)
+        if not last:
+            res, jac = _kkt_system(frame, c, u, y, y0, ensemble)
     return c, u, y, y0
 
 
@@ -743,13 +744,12 @@ def _descend_dual(m, z, t, radius):
 def _tp_map(w):
     """The trace condition on Choi matrices w Q w^dag, as a real matrix.
 
-    Returns an orthonormal basis of the Hermitian k x k matrices Q (k
-    columns in w) and the matrix taking the coordinates of Q in that
-    basis to the Pauli coordinates of Tr_out(w Q w^dag).
+    It takes the coordinates of a Hermitian k x k matrix Q (k columns in
+    w), in the basis of numkit.hermitian_coords, to the Pauli
+    coordinates of Tr_out(w Q w^dag).
     """
-    basis = numkit.hermitian_basis(w.shape[1])
-    g = np.einsum("ai,mab,bj->mij", w.conj(), _PAULI_IN, w)
-    return basis, np.einsum("bij,mji->mb", basis, g).real
+    g = np.einsum("ai,mab,bj->ijm", w.conj(), _PAULI_IN, w)
+    return numkit.hermitian_coords(g).real.T
 
 
 def _channel_on(w, m):
@@ -761,16 +761,14 @@ def _channel_on(w, m):
     extreme point. The congruence by (sum A^dag A)^(-1/2) then makes the
     map exactly TP. None when the positive part is too far from TP.
     """
-    basis, lmat = _tp_map(w)
-    x = np.linalg.lstsq(lmat, _TP_COORDS, rcond=None)[0]
-    p = np.tensordot(x, basis, 1)
+    x = np.linalg.lstsq(_tp_map(w), _TP_COORDS, rcond=None)[0]
+    p = numkit.hermitian_from_coords(x)
     while True:
         pw, pv = np.linalg.eigh(p)
         w, d = w @ pv[:, pw > 1e-12], pw[pw > 1e-12]
         if d.size <= 2:
             break
-        basis, lmat = _tp_map(w)
-        q = np.tensordot(np.linalg.svd(lmat)[2][-1], basis, 1)
+        q = numkit.hermitian_from_coords(np.linalg.svd(_tp_map(w))[2][-1])
         if np.trace(q @ w.conj().T @ m @ w).real < 0:
             q = -q
         # Q is traceless, so P + s Q turns singular at a finite s > 0

@@ -81,20 +81,20 @@ def _perturbation(ks, tol=_NULL_TOL):
     The null space comes from an SVD of the map itself, as a Gram matrix
     would square the conditioning. Its elements are Frobenius-orthonormal,
     so least off-diagonal mass is most diagonal mass: the top singular
-    vector of their diagonals, which lead the Hermitian basis, picks Q.
-    The sign decides which side of a split comes first.
+    vector of their diagonals, which lead the Hermitian basis of
+    numkit.hermitian_coords, picks Q. The sign decides which side of a
+    split comes first.
     """
     m = len(ks)
-    basis = numkit.hermitian_basis(m)
     # row b: the image of basis element b, real and imaginary parts
-    prods = np.einsum("kax,jay->jkxy", ks.conj(), ks).reshape(m * m, -1)
-    out = basis.reshape(m * m, m * m) @ prods
+    prods = np.einsum("jax,kay->jkxy", ks.conj(), ks)
+    out = numkit.hermitian_coords(prods).reshape(m * m, -1)
     u, s = np.linalg.svd(np.concatenate([out.real, out.imag], axis=1))[:2]
     null = u[:, np.count_nonzero(s > tol * s[0]):]
     if not null.shape[1]:
         return None
     c = np.linalg.svd(null[:m], full_matrices=False)[2][0]
-    q = np.tensordot(null @ c, basis, 1)
+    q = numkit.hermitian_from_coords(null @ c)
     # drop float fuzz so that Q is Hermitian to the last bit
     q = (q + q.conj().T) / (2 * np.linalg.norm(q))
     w = np.linalg.eigvalsh(q)

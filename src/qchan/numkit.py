@@ -5,6 +5,8 @@ function; eigenvalues come back ascending, singular values descending,
 and all factorizations are residual-checked against their inputs.
 """
 
+import math
+
 import numpy as np
 
 HERM_TOL = 1e-12
@@ -63,22 +65,39 @@ def partial_transpose(m, dim_a, dim_b, subsystem):
     return t.reshape(dim_a * dim_b, dim_a * dim_b)
 
 
-def hermitian_basis(m):
-    """Frobenius-orthonormal basis of the m x m Hermitian matrices.
+_R2 = 1 / np.sqrt(2)
 
-    An (m^2, m, m) array: the m diagonal units E_ii first, then for each
-    i < j in row order the pair (E_ij + E_ji) / sqrt(2) and
-    i (E_ji - E_ij) / sqrt(2).
+
+def _upper_pairs(m):
+    """The index pairs i < j of an m x m matrix in row order."""
+    r = np.arange(m)
+    return np.nonzero(r[:, None] < r)
+
+
+def hermitian_coords(p):
+    """The (m^2, ...) array of Tr(B_b p) for an (m, m, ...) array p.
+
+    B_b runs over the Frobenius-orthonormal basis of the m x m Hermitian
+    matrices in a fixed order: the m diagonal units E_ii first, then for
+    each i < j in row order the pair (E_ij + E_ji) / sqrt(2) and
+    i (E_ji - E_ij) / sqrt(2). For Hermitian p these are its real
+    coordinates, the first m its diagonal. Built by index, as a product
+    with a dense basis would hand BLAS an m^2 x m^2 matrix.
     """
-    i, j = np.triu_indices(m, 1)
-    re = m + 2 * np.arange(len(i))
-    r = 1 / np.sqrt(2)
-    basis = np.zeros((m * m, m, m), dtype=complex)
-    basis[np.arange(m), np.arange(m), np.arange(m)] = 1
-    basis[re, i, j] = basis[re, j, i] = r
-    basis[re + 1, i, j] = -1j * r
-    basis[re + 1, j, i] = 1j * r
-    return basis
+    r = np.arange(len(p))
+    i, j = _upper_pairs(len(p))
+    pairs = np.stack([p[i, j] + p[j, i], 1j * (p[i, j] - p[j, i])], axis=1)
+    return np.concatenate([p[r, r], _R2 * pairs.reshape(-1, *p.shape[2:])])
+
+
+def hermitian_from_coords(x):
+    """sum_b x_b B_b for real coordinates x in hermitian_coords' order."""
+    m = math.isqrt(len(x))
+    i, j = _upper_pairs(m)
+    q = np.diag(x[:m]).astype(complex)
+    q[i, j] = _R2 * (x[m::2] - 1j * x[m + 1::2])
+    q[j, i] = q[i, j].conj()
+    return q
 
 
 def require_hermitian(m, tol=HERM_TOL):

@@ -179,6 +179,15 @@ def test_decompose_peels_at_most_rank_parts(ch):
     _check_peel(ch)
 
 
+@pytest.mark.parametrize("rank", [8, 12, 16])
+def test_decompose_peels_four_dimensional_channels(rank):
+    """The peel past the qutrits: at n = 4 and rank 16 the null test
+    runs on 256 products A_i^dag A_j."""
+    ch = random_tp_channel(np.random.default_rng(rank), 4, rank)
+    assert not extremal.is_extremal_tp(ch)
+    _check_peel(ch)
+
+
 def _null_reference(v, tol=1e-10):
     """The least off-diagonal mass of a unit null element, the long way
     (every null Hermitian matrix formed, then a full SVD of their

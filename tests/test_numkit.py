@@ -49,15 +49,50 @@ def test_partial_transpose_bell():
     assert np.abs(numkit.partial_transpose(pt, 2, 2, 1) - rho).max() < 1e-14
 
 
-@pytest.mark.parametrize("m", range(1, 10))
+def _documented_basis(m):
+    """The Hermitian basis in the order numkit's helpers document: the
+    diagonal units E_ii, then for each i < j in row order
+    (E_ij + E_ji) / sqrt(2) and i (E_ji - E_ij) / sqrt(2)."""
+    def unit(i, j):
+        e = np.zeros((m, m))
+        e[i, j] = 1
+        return e
+
+    basis = [unit(i, i) for i in range(m)]
+    for i in range(m):
+        for j in range(i + 1, m):
+            e = unit(i, j)
+            basis += [(e + e.T) / np.sqrt(2), 1j * (e.T - e) / np.sqrt(2)]
+    return np.array(basis, dtype=complex)
+
+
+@pytest.mark.parametrize("m", [*range(1, 10), 16])
 def test_hermitian_basis_is_orthonormal(m):
-    basis = numkit.hermitian_basis(m)
-    assert basis.shape == (m * m, m, m)
+    """hermitian_coords and hermitian_from_coords realize the documented
+    orthonormal basis of the Hermitian matrices, diagonal units first."""
+    basis = _documented_basis(m)
     assert np.array_equal(basis, basis.conj().transpose(0, 2, 1))
     gram = np.einsum("aij,bij->ab", basis.conj(), basis)
     assert np.abs(gram - np.eye(m * m)).max() <= 1e-14
     # the diagonal units lead, so a Q's diagonal is its first m coordinates
     assert np.array_equal(basis[:m], np.eye(m)[:, None] * np.eye(m))
+    for b, e in enumerate(np.eye(m * m)):
+        assert np.abs(numkit.hermitian_from_coords(e) - basis[b]).max() \
+            <= 1e-16
+    rng = np.random.default_rng(m)
+    g = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+    h = g + g.conj().T
+    x = numkit.hermitian_coords(h)
+    assert np.abs(x - np.einsum("bkj,jk->b", basis, h)).max() <= 1e-13
+    assert np.abs(x.imag).max() <= 1e-14
+    assert np.abs(numkit.hermitian_from_coords(x.real) - h).max() <= 1e-13
+    x = rng.normal(size=m * m)
+    assert np.abs(numkit.hermitian_coords(numkit.hermitian_from_coords(x))
+                  - x).max() <= 1e-14
+    # trailing axes ride along
+    stack = rng.normal(size=(m, m, 2, 3))
+    assert np.abs(numkit.hermitian_coords(stack)
+                  - np.einsum("bkj,jkxy->bxy", basis, stack)).max() <= 1e-13
 
 
 def test_require_hermitian():

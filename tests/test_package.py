@@ -82,6 +82,69 @@ def test_no_route_loads_scipy(tmp_path):
          "classical_correlations", "fidelity_optimize_one_side"], [])
 
 
+BLAS_PROBE = """
+import contextlib, glob, io, json, os, sys, time
+import numpy as np
+from qchan import channel, cli, extremal
+
+def worker_cpu():
+    # user + system CPU seconds of every thread but the main one
+    ticks = 0
+    for stat in glob.glob("/proc/self/task/*/stat"):
+        if stat.split(os.sep)[-2] == str(os.getpid()):
+            continue
+        with open(stat) as fh:
+            fields = fh.read().rsplit(")", 1)[1].split()
+        ticks += int(fields[11]) + int(fields[12])
+    return ticks / os.sysconf("SC_CLK_TCK")
+
+rng = np.random.default_rng(5)
+
+def random_qutrit(rank):
+    g = rng.normal(size=(3 * rank, 3)) + 1j * rng.normal(size=(3 * rank, 3))
+    q = np.linalg.qr(g)[0]
+    return [q[3 * k:3 * k + 3] for k in range(rank)]
+
+kraus = {rank: [random_qutrit(rank) for _ in range(3)] for rank in (7, 8, 9)}
+path = os.path.join(sys.argv[1], "qutrit.json")
+with open(path, "w") as fh:
+    json.dump({"kraus": [[[[z.real, z.imag] for z in row] for row in k]
+                         for k in kraus[9][0]]}, fh)
+
+def work():
+    for ks in sum(kraus.values(), []):
+        extremal.decompose_into_extremals(channel.Channel(ks))
+    with contextlib.redirect_stdout(io.StringIO()):
+        return [cli.main(["analyze", path, "--all"]),
+                cli.main(["decompose", path])]
+
+work()
+time.sleep(0.5)
+before = worker_cpu()
+codes = work()
+print(json.dumps({"threads": len(glob.glob("/proc/self/task/*")),
+                  "codes": codes, "gain": worker_cpu() - before}))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads thread CPU times from /proc")
+def test_qutrit_routes_leave_the_blas_pool_idle(tmp_path):
+    """Decompositions of qutrit channels of rank 7 to 9, analyze --all and
+    decompose run on the calling thread: the BLAS worker threads that
+    numpy's import starts gain less than 30 ms of CPU time.
+
+    Run in a fresh process, after a warm-up and a pause that lets the
+    workers fall asleep."""
+    proc = run_python("-c", BLAS_PROBE, str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.splitlines()[-1])
+    if out["threads"] == 1:
+        pytest.skip("numpy runs without worker threads")
+    assert out["codes"] == [0, 0]
+    assert out["gain"] < 0.03
+
+
 DEMOS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), os.pardir,
                                       "demos", "*.py")))
 
