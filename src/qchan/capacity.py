@@ -80,7 +80,8 @@ class Povm:
             raise ValueError("POVM has no elements")
         dim = elements[0].shape[0]
         for e in elements:
-            if numkit.eigh(numkit.require_hermitian(e))[0].min() < -1e-9:
+            w = numkit.eigh(e)[0]
+            if w[0] < -numkit.psd_floor(w):
                 raise ValueError("POVM element is not PSD")
         if np.abs(sum(elements) - np.eye(dim)).max() > 1e-10:
             raise ValueError("POVM elements do not sum to identity")
@@ -184,17 +185,19 @@ def _tangent_bases(u):
                      np.stack([b, s + y * y * a, -y], axis=1)], axis=2)
 
 
-def _frame_entropy(frame, u):
-    """f(u) = p H(v / p) in bits at points u (k, 3) of the frame.
-
-    Written as the perspective -(q+ log q+ + q- log q- - p log p) / ln 2
-    with q+- = (p +- |v|) / 2, so it stays finite as p -> 0.
-    """
-    a, b, tt = frame
-    p = np.maximum(1 + u @ a, 0.0)
-    nv = np.sqrt(np.sum((b + u @ tt) ** 2, axis=-1))
+def _perspective(p, nv):
+    """p H(v / p) in bits for |v| = nv, written as the perspective
+    -(q+ log q+ + q- log q- - p log p) / ln 2 with q+- = (p +- nv) / 2,
+    so it stays finite as p -> 0."""
     qp, qm = (p + nv) / 2, np.maximum((p - nv) / 2, 0.0)
     return -(_xlogx(qp) + _xlogx(qm) - _xlogx(p)) / LOG2
+
+
+def _frame_entropy(frame, u):
+    """f(u) = p H(v / p) in bits at points u (k, 3) of the frame."""
+    a, b, tt = frame
+    p = np.maximum(1 + u @ a, 0.0)
+    return _perspective(p, np.sqrt(np.sum((b + u @ tt) ** 2, axis=-1)))
 
 
 def _frame_terms(frame, u, bases):
@@ -210,8 +213,9 @@ def _frame_terms(frame, u, bases):
     a, b, tt = frame
     p = np.maximum(1 + u @ a, 1e-100)
     v = b + u @ tt
+    nv = np.sqrt(np.sum(v * v, axis=1))
     # |v| <= p but for rounding; a pure remote state stays pure
-    rho = v / np.maximum(p, np.sqrt(np.sum(v * v, axis=1)))[:, None]
+    rho = v / np.maximum(p, nv)[:, None]
     h, c1, c2 = _entropy_terms(rho)
     dh = -c1[:, None] * rho / LOG2
     grad = (h - np.sum(rho * dh, axis=1))[:, None] * a + dh @ tt.T
@@ -220,7 +224,8 @@ def _frame_terms(frame, u, bases):
     hess = -(c1[:, None, None] * np.einsum("kjm,kjn->kmn", l, l)
              + c2[:, None, None] * lr[:, :, None] * lr[:, None, :]) \
         / (LOG2 * p[:, None, None])
-    return p * h, grad, hess
+    # f as _frame_entropy has it, so that both give one value at u
+    return _perspective(p, nv), grad, hess
 
 
 def _tangent_curvature(u, hess, slope):
@@ -440,11 +445,6 @@ def _polish_measurement(frame, c, u, y, y0, iterations=30, ensemble=False):
 
 # --- Holevo quantity ----------------------------------------------------------
 
-def _bloch_rho(u):
-    return (np.eye(2, dtype=complex) + u[0] * qubit.SX + u[1] * qubit.SY
-            + u[2] * qubit.SZ) / 2
-
-
 def _divergence_affine(frame, w, u):
     """kappa, y with D(Phi(u') || sigma) = kappa + y.u' - f(u') in the
     channel frame (0, t, lam^T), at sigma the average output of the
@@ -524,7 +524,8 @@ def holevo_chi(ch):
     p = qubit.ptm(ch)
     w, u, val, upper = _chi_primal_dual((np.zeros(3), p.t, p.lam.T))
     try:
-        ens = Ensemble([(wk, _bloch_rho(uk)) for wk, uk in zip(w, u)])
+        ens = Ensemble([(wk, numkit.bloch_state(uk))
+                        for wk, uk in zip(w, u)])
     except ValueError as exc:  # built here, so a fault of the solver
         raise RuntimeError("ensemble is not valid: %s" % exc) from exc
     avg_out = channel.apply(ch, ens.average())
@@ -541,7 +542,7 @@ def holevo_chi(ch):
 
 
 def _channel_concurrence_pair(a1, a2):
-    return a1.T @ qubit.SY @ a2 - a2.T @ qubit.SY @ a1
+    return a1.T @ numkit.SY @ a2 - a2.T @ numkit.SY @ a1
 
 
 def chi_given_average(ch, rho_avg):
@@ -554,7 +555,7 @@ def chi_given_average(ch, rho_avg):
     S(out of rho_avg) - f(C). Unitary channels give f = 0.
     """
     qubit._require_qubit_tp(ch)
-    rho_avg = numkit.require_hermitian(np.asarray(rho_avg, dtype=complex))
+    rho_avg = numkit.require_density(rho_avg, 2)[0]
     ks = channel.kraus_from_choi(ch.choi_pair)
     if len(ks) == 1:
         cval = 0.0
@@ -594,8 +595,8 @@ def _correlation_value(rho_ab, elements, measured_first, s_remote):
     return val
 
 
-_PAULI_PAIRS = np.array([[numkit.kron(s, t) for t in qubit.PAULIS]
-                         for s in qubit.PAULIS])
+_PAULI_PAIRS = np.array([[numkit.kron(s, t) for t in numkit.PAULIS]
+                         for s in numkit.PAULIS])
 
 
 def _correlation_frame(rho_ab, measured_first):
@@ -636,7 +637,7 @@ def _correlation_primal_dual(rho_ab, side):
         # the antipode makes a projective measurement along u_star feasible
         points = np.vstack([_GRID, u, u_star, -u_star])
     try:
-        povm = Povm([2 * ck * _bloch_rho(uk) for ck, uk in zip(c, u)])
+        povm = Povm([2 * ck * numkit.bloch_state(uk) for ck, uk in zip(c, u)])
     except ValueError as exc:  # built here, so a fault of the solver
         raise RuntimeError("measurement is not a POVM: %s" % exc) from exc
     value = _correlation_value(rho_ab, povm.elements, measured_first,
@@ -684,7 +685,7 @@ def _fidelity_weight_matrix(rho_ab):
 
 # Tr(C (sigma_mu (x) I)), mu = 0..3, are the Pauli coordinates of Tr_out C:
 # (2, 0, 0, 0) exactly when C is the Choi matrix of a trace-preserving map
-_PAULI_IN = np.array([numkit.kron(s, np.eye(2)) for s in qubit.PAULIS])
+_PAULI_IN = np.array([numkit.kron(s, np.eye(2)) for s in numkit.PAULIS])
 _TP_COORDS = np.array([2.0, 0.0, 0.0, 0.0])
 # smoothing temperatures of the dual, each stage warm-started by the last
 _TEMPERATURES = (1e-2, 1e-5, 1e-8, 1e-11)

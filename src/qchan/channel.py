@@ -13,7 +13,7 @@ import numpy as np
 
 from . import numkit
 
-DEFAULT_ATOL = 1e-10
+TP_TOL = 1e-10  # largest entry of sum A^dag A - I (or A A^dag - I)
 
 
 def choi_matrix(kraus):
@@ -53,10 +53,10 @@ class Channel:
 
     Values are immutable after construction. The Choi matrix of any Kraus
     list is automatically PSD, so only shape and (optionally) the
-    trace-preserving condition need checking here.
+    trace-preserving condition, within TP_TOL, need checking here.
     """
 
-    def __init__(self, kraus, require_tp=False, atol=DEFAULT_ATOL):
+    def __init__(self, kraus, require_tp=False):
         ops = [np.asarray(a, dtype=complex) for a in kraus]
         if not ops:
             raise ValueError("need at least one Kraus operator")
@@ -72,7 +72,7 @@ class Channel:
         # sum_i A_i^dag A_i - I
         ksum = sum(a.conj().T @ a for a in ops)
         self.tp_deviation = float(np.abs(ksum - np.eye(n)).max())
-        self.trace_preserving = self.tp_deviation <= atol
+        self.trace_preserving = self.tp_deviation <= TP_TOL
         if require_tp and not self.trace_preserving:
             raise ValueError("Kraus operators do not preserve the trace "
                              "(deviation %.3e)" % self.tp_deviation)
@@ -94,27 +94,17 @@ def choi(ch):
     return ch.choi_pair
 
 
-def kraus_from_choi(c, tol=None):
+def kraus_from_choi(c):
     """Minimal Kraus list from a Choi matrix (or ChoiPair).
 
-    Operators are rescaled eigenvectors, hence pairwise orthogonal in the
-    Hilbert-Schmidt inner product, and their count equals the numerical
-    rank. A negative eigenvalue below tolerance means the matrix is not a
-    valid CP dual state and raises.
+    The operators are the reshaped columns of numkit.sqrt_psd, rescaled
+    eigenvectors, hence pairwise orthogonal in the Hilbert-Schmidt inner
+    product, and their count equals the numerical rank. A matrix that is
+    not PSD is not a valid CP dual state and raises.
     """
     mat = c.choi if isinstance(c, ChoiPair) else np.asarray(c, dtype=complex)
     n = int(round(np.sqrt(mat.shape[0])))
-    w, v = numkit.eigh(mat)
-    top = max(w.max(), 0.0)
-    if tol is None:
-        tol = 1e-9 * max(top, 1.0)
-    if w.min() < -max(tol, DEFAULT_ATOL * max(top, 1.0)):
-        raise ValueError("not CP: Choi matrix has eigenvalue %.6e" % w.min())
-    out = []
-    for k in range(w.size):
-        if w[k] > tol:
-            out.append(np.sqrt(w[k]) * v[:, k].reshape(n, n).T)
-    return out
+    return [x.reshape(n, n).T for x in numkit.sqrt_psd(mat).T]
 
 
 def apply(ch, rho):
@@ -145,19 +135,19 @@ def apply_via_dual(c, rho):
     return numkit.partial_trace(pt @ numkit.kron(rho, np.eye(n)), n, n, 1)
 
 
-def is_tp(ch, atol=DEFAULT_ATOL):
-    """Trace preservation, sum_i A_i^dag A_i = I within atol, read from
-    Channel.tp_deviation (the Choi marginal is checked in the tests)."""
-    return ch.tp_deviation <= atol
+def is_tp(ch):
+    """Trace preservation, sum_i A_i^dag A_i = I within TP_TOL, read from
+    Channel.trace_preserving (the Choi marginal is checked in the tests)."""
+    return ch.trace_preserving
 
 
-def is_unital(ch, atol=DEFAULT_ATOL):
-    """Unitality (identity fixed): sum_i A_i A_i^dag = I within atol."""
+def is_unital(ch):
+    """Unitality (identity fixed): sum_i A_i A_i^dag = I within TP_TOL."""
     ksum = sum(a @ a.conj().T for a in ch.kraus)
-    return bool(np.abs(ksum - np.eye(ch.dim)).max() <= atol)
+    return bool(np.abs(ksum - np.eye(ch.dim)).max() <= TP_TOL)
 
 
-def rank(ch, tol=1e-9):
+def rank(ch, tol=numkit.PSD_TOL):
     """Rank of the map: the rank of its Choi matrix."""
     w = numkit.eigh(ch.choi)[0]
     return int(np.count_nonzero(w > tol * max(w.max(), 1.0)))
@@ -184,13 +174,15 @@ class HermitianMap:
         return out
 
 
-def signed_kraus(action, tol=1e-9):
+def signed_kraus(action):
     """Signed Kraus form from the action on the matrix unit basis.
 
     action lists the images of |i><j| in row-major (i, j) order. The
-    images must be Hermiticity-consistent: the image of |j><i| equals the
-    adjoint of the image of |i><j|. Eigenvalues of the assembled Choi
-    matrix give the signs, reshaped eigenvectors the operators.
+    images must be Hermiticity-consistent within numkit.HERM_TOL: the
+    image of |j><i| equals the adjoint of the image of |i><j|.
+    Eigenvalues of the assembled Choi matrix give the signs, reshaped
+    eigenvectors the operators; eigenvalues up to numkit.PSD_TOL of the
+    largest magnitude (floored at 1) are dropped as rounding.
     """
     mats = [np.asarray(a, dtype=complex) for a in action]
     n2 = len(mats)
@@ -202,14 +194,14 @@ def signed_kraus(action, tol=1e-9):
     for i in range(n):
         for j in range(n):
             if np.abs(mats[i * n + j] - mats[j * n + i].conj().T).max() \
-                    > 1e-12 * scale:
+                    > numkit.HERM_TOL * scale:
                 raise ValueError("action is not Hermiticity-consistent at "
                                  "basis element (%d, %d)" % (i, j))
             c[i * n:(i + 1) * n, j * n:(j + 1) * n] = mats[i * n + j]
     w, v = numkit.eigh(c)
     pairs = []
     for k in range(w.size):
-        if abs(w[k]) > tol * max(np.abs(w).max(), 1.0):
+        if abs(w[k]) > numkit.PSD_TOL * max(np.abs(w).max(), 1.0):
             pairs.append((float(w[k]), v[:, k].reshape(n, n).T))
     return HermitianMap(n, pairs, c)
 
@@ -265,7 +257,7 @@ def identity(n=2):
 def unitary(u):
     u = np.asarray(u, dtype=complex)
     n = u.shape[0]
-    if np.abs(u @ u.conj().T - np.eye(n)).max() > 1e-10:
+    if np.abs(u @ u.conj().T - np.eye(n)).max() > TP_TOL:
         raise ValueError("matrix is not unitary")
     return Channel([u])
 

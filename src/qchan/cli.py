@@ -227,21 +227,23 @@ def _yn(b):
     return "yes" if b else "no"
 
 
-def _fmt_vec(v, prec=6):
-    return " ".join("%.*f" % (prec, x) for x in np.asarray(v).real)
+def _fmt_vec(v):
+    return " ".join("%.6f" % x for x in np.asarray(v).real)
+
+
+def _matrix_lines(rows, indent):
+    """Text lines of an encoded matrix, entries rounded to 6 places."""
+    mat = np.array([[complex(re, im) for re, im in row] for row in rows])
+    return [indent + "  ".join("%9.6f%+9.6fj" % (z.real, z.imag) for z in row)
+            for row in np.round(mat, 6)]
 
 
 def _result_lines(name, res):
     if "skipped" in res:
         return ["%s: skipped (%s)" % (name, res["skipped"])]
     if name == "choi":
-        lines = ["choi: jam eigenvalues: " + _fmt_vec(res["jam_eigenvalues"])]
-        mat = np.array([[complex(a, b) for a, b in row]
-                        for row in res["matrix"]])
-        for row in np.round(mat, 6):
-            lines.append("  " + "  ".join("%9.6f%+9.6fj" % (z.real, z.imag)
-                                          for z in row))
-        return lines
+        return (["choi: jam eigenvalues: " + _fmt_vec(res["jam_eigenvalues"])]
+                + _matrix_lines(res["matrix"], "  "))
     if name == "rank":
         return ["rank: %d" % res["value"]]
     if name == "extremality":
@@ -294,9 +296,10 @@ ANALYSES = ("choi", "rank", "extremality", "eb", "normal_forms",
             "fidelity", "capacities")
 
 
-def _run_analysis(name, ch, tol):
-    """One named analysis; hypothesis failures (ValueError) become a
-    'skipped' entry, failed self-checks (RuntimeError) propagate."""
+def _run_analysis(name, ch, flags):
+    """One named analysis under the command-line flags; hypothesis
+    failures (ValueError) become a 'skipped' entry, failed self-checks
+    (RuntimeError) propagate."""
     try:
         if name == "choi":
             jam_w = np.linalg.eigvalsh(ch.jam)
@@ -307,7 +310,7 @@ def _run_analysis(name, ch, tol):
                     "method": "kraus-product rank test"}
         if name == "eb":
             return {"entanglement_breaking":
-                        bool(qubit.is_entanglement_breaking(ch, tol=tol)),
+                        bool(qubit.is_entanglement_breaking(ch, flags.tol)),
                     "can_distribute":
                         bool(qubit.can_distribute_entanglement(ch)),
                     "method": "dual-state partial transpose"}
@@ -372,7 +375,7 @@ def cmd_analyze(path, flags):
     results = {}
     for name in selected:
         results[name] = ({"value": rank} if name == "rank"
-                         else _run_analysis(name, ch, flags.tol))
+                         else _run_analysis(name, ch, flags))
     if getattr(flags, "emit_choi", None):
         write_choi_file(flags.emit_choi, ch)
     provenance = {"tol": flags.tol, "format": flags.format}
@@ -431,11 +434,7 @@ def _decompose_text(report):
         kind = "unitary" if comp["unitary"] else "rank %d" % comp["rank"]
         lines.append("  %d: weight %.9f (%s)" % (k, comp["weight"], kind))
         for a in comp["kraus"]:
-            mat = np.array([[complex(re, im) for re, im in row] for row in a])
-            for row in np.round(mat, 6):
-                lines.append("     "
-                             + "  ".join("%9.6f%+9.6fj" % (z.real, z.imag)
-                                         for z in row))
+            lines.extend(_matrix_lines(a, "     "))
     return lines
 
 

@@ -15,6 +15,7 @@ import numpy as np
 from . import numkit, channel
 
 _NULL_TOL = 1e-10  # products of the v_i count as dependent below this
+_CONSTRAINED_TOL = 1e-8  # the same for is_extremal_constrained's family
 
 
 class AlreadyExtremalError(ValueError):
@@ -37,29 +38,29 @@ def _directions(ch):
     return ks / norms[:, None, None], norms
 
 
-def is_extremal_tp(ch, tol=_NULL_TOL):
+def is_extremal_tp(ch):
     """Extremality test for a TP channel.
 
     False straight away if the rank exceeds the dimension; otherwise the
     products v_i^dag v_j must be linearly independent: no singular value
-    of Q -> sum_jk Q_jk v_k^dag v_j at or below tol times the largest.
-    Unit-norm v_i make the verdict depend on the range of the Choi
-    matrix alone, as extremality does, not on its small eigenvalues.
+    of Q -> sum_jk Q_jk v_k^dag v_j at or below _NULL_TOL times the
+    largest. Unit-norm v_i make the verdict depend on the range of the
+    Choi matrix alone, as extremality does, not on its small eigenvalues.
     """
-    return _extremal(_directions(ch)[0], ch.dim, tol)
+    return _extremal(_directions(ch)[0], ch.dim)
 
 
-def _extremal(v, n, tol=_NULL_TOL):
+def _extremal(v, n):
     """is_extremal_tp on the directions v of an n-dimensional channel."""
-    return len(v) <= n and _perturbation(v, tol) is None
+    return len(v) <= n and _perturbation(v) is None
 
 
-def is_extremal_constrained(ch, rho1, tol=1e-8):
+def is_extremal_constrained(ch, rho1):
     """Extremality among TP channels with the image of rho1 held fixed.
 
     The test family is {A_i^dag A_j (+) A_j rho1 A_i^dag}; the direct sum
     doubles the ambient dimension, so m <= floor(sqrt(2 n^2)) is applied
-    before the rank test.
+    before the rank test at _CONSTRAINED_TOL.
     """
     ks = _minimal_kraus(ch)
     rho1 = numkit.require_density(rho1, ch.dim)[0]
@@ -70,7 +71,7 @@ def is_extremal_constrained(ch, rho1, tol=1e-8):
                                      numkit.mat_to_vec(b @ rho1 @ a.conj().T)])
                      for a in ks for b in ks])
     s = numkit.svd(rows)[1]
-    return bool(s[-1] > tol * s[0])
+    return bool(s[-1] > _CONSTRAINED_TOL * s[0])
 
 
 def _perturbation(ks, tol=_NULL_TOL):
@@ -101,7 +102,7 @@ def _perturbation(ks, tol=_NULL_TOL):
     return q if w[-1] >= -w[0] else -q
 
 
-def find_perturbation(ch, tol=_NULL_TOL):
+def find_perturbation(ch):
     """A Hermitian Q with sum_jk Q_jk A_k^dag A_j = 0, or None.
 
     None comes back exactly when the channel is extremal. Q is the
@@ -109,13 +110,13 @@ def find_perturbation(ch, tol=_NULL_TOL):
     follow the Choi eigenstructure whenever they can), written for the
     A_i and normalized to unit Frobenius norm.
     """
-    return _kraus_perturbation(*_directions(ch), tol)
+    return _kraus_perturbation(*_directions(ch))
 
 
-def _kraus_perturbation(v, norms, tol=_NULL_TOL):
+def _kraus_perturbation(v, norms):
     """_perturbation of the directions v written for the Kraus operators
     norms_i v_i, at unit Frobenius norm, or None."""
-    q = _perturbation(v, tol)
+    q = _perturbation(v)
     if q is None:
         return None
     q = q / np.outer(norms, norms)

@@ -9,12 +9,18 @@ import math
 
 import numpy as np
 
-HERM_TOL = 1e-12
-PSD_TOL = 1e-9  # eigenvalues of a PSD matrix down to -PSD_TOL are rounding
+HERM_TOL = 1e-12  # relative: Hermiticity (and takagi's symmetry)
+PSD_TOL = 1e-9  # relative: the rounding floor of psd_floor
 
-SX = np.array([[0, 1], [1, 0]], dtype=complex)
-SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SZ = np.array([[1, 0], [0, -1]], dtype=complex)
+# I, sigma_x, sigma_y, sigma_z: the one set of Pauli matrices
+PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]],
+                   [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
+SX, SY, SZ = PAULIS[1:]
+
+
+def bloch_state(u):
+    """The qubit matrix (I + u . sigma) / 2 of a Bloch vector u."""
+    return (PAULIS[0] + (u @ PAULIS[1:].reshape(3, 4)).reshape(2, 2)) / 2
 
 
 def kron(a, b):
@@ -100,13 +106,13 @@ def hermitian_from_coords(x):
     return q
 
 
-def require_hermitian(m, tol=HERM_TOL):
-    """Validate hermiticity (relative tolerance) and return the array."""
+def require_hermitian(m):
+    """Validate hermiticity (HERM_TOL, relative) and return the array."""
     m = np.asarray(m, dtype=complex)
     if m.shape[0] != m.shape[1]:
         raise ValueError("expected a square matrix, got shape %s" % (m.shape,))
     scale = max(np.abs(m).max(), 1.0)
-    if np.abs(m - m.conj().T).max() > tol * scale:
+    if np.abs(m - m.conj().T).max() > HERM_TOL * scale:
         raise ValueError("matrix is not Hermitian within tolerance")
     return m
 
@@ -115,13 +121,13 @@ def require_density(rho, dim=None):
     """Validate a density matrix; return it with its eigenvalues.
 
     rho must be Hermitian (require_hermitian), of shape dim x dim when
-    dim is given, with eigenvalues above -PSD_TOL summing to 1 within 1e-9.
+    dim is given, PSD (psd_floor) and of trace 1 within 1e-9.
     """
     rho = require_hermitian(rho)
     if dim is not None and rho.shape[0] != dim:
         raise ValueError("expected a %dx%d density matrix" % (dim, dim))
     w = eigh(rho)[0]
-    if w.min() < -PSD_TOL or abs(w.sum() - 1) > 1e-9:
+    if w[0] < -psd_floor(w) or abs(w.sum() - 1) > 1e-9:
         raise ValueError("input is not a density matrix")
     return rho, w
 
@@ -179,17 +185,18 @@ def _symmetric_unitary_root(z):
     return (o * np.exp(0.5j * phase)) @ o.T
 
 
-def takagi(s, tol=1e-12):
+def takagi(s):
     """Factor a complex symmetric matrix as s = V diag(sig) V^T.
 
-    Returns (v, sig) with sig nonnegative descending and v unitary.
-    Built on the SVD: group columns by singular-value multiplicity, then
-    absorb the symmetric unitary coupling Z = U_g^T V_g of each group
-    through a symmetric unitary square root.
+    Returns (v, sig) with sig nonnegative descending and v unitary; s
+    must be symmetric within HERM_TOL. Built on the SVD: group columns by
+    singular-value multiplicity, then absorb the symmetric unitary
+    coupling Z = U_g^T V_g of each group through a symmetric unitary
+    square root.
     """
     s = np.asarray(s, dtype=complex)
     scale = max(np.abs(s).max(), 1.0)
-    if np.abs(s - s.T).max() > tol * scale:
+    if np.abs(s - s.T).max() > HERM_TOL * scale:
         raise ValueError("takagi needs a symmetric matrix")
     u, sig, v = svd(s)
     # cluster equal singular values; exact degeneracy makes Z non-diagonal
@@ -208,19 +215,25 @@ def takagi(s, tol=1e-12):
     return vt, sig
 
 
+def psd_floor(w):
+    """The rounding floor of the ascending eigenvalues w of a matrix that
+    should be PSD: PSD_TOL times the largest, floored at 1. An eigenvalue
+    below -psd_floor(w) means the matrix is not PSD; one at or above it
+    is rounding."""
+    return PSD_TOL * max(w[-1], 1.0)
+
+
 def sqrt_psd(m, tol=None):
     """Square root factor X of a PSD matrix: m = X X^dag.
 
     Columns are sqrt(w_i) * v_i for eigenvalues above the rank threshold
-    tol, so the column count equals the numerical rank. An eigenvalue
-    below -PSD_TOL (times the largest, floored at 1) raises, whatever tol.
+    tol, psd_floor by default, so the column count equals the numerical
+    rank. An eigenvalue below -psd_floor raises, whatever tol.
     """
     w, v = eigh(m)
-    floor = PSD_TOL * max(w.max(), 1.0)
-    if tol is None:
-        tol = floor
-    if w.min() < -max(tol, floor):
+    floor = psd_floor(w)
+    if w[0] < -floor:
         raise ValueError("matrix is not positive semidefinite "
-                         "(eigenvalue %.3e)" % w.min())
-    keep = w > tol
+                         "(eigenvalue %.3e)" % w[0])
+    keep = w > (floor if tol is None else tol)
     return v[:, keep] * np.sqrt(w[keep])

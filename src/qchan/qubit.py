@@ -15,10 +15,11 @@ import itertools
 import numpy as np
 
 from . import numkit, channel, extremal
-from .numkit import SX, SY, SZ
+from .numkit import PAULIS, SX, SY, SZ
 
-PAULIS = [np.eye(2, dtype=complex), SX, SY, SZ]
-_PAULI_T = np.array(PAULIS)
+_PAULI_VEC = PAULIS.reshape(4, 4).T  # columns vec(sigma_i); inverse: adj / 2
+_FILTER_TOL = 1e-8  # relative residual of a filter's rebuilt Lorentz matrix
+_TIE_TOL = 1e-7  # relative gap of tied eigenvalues of eta r^T eta r
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
 # spin flip sigma_y (x) sigma_y; real
 SFLIP = np.kron(SY, SY).real.astype(float)
@@ -48,9 +49,6 @@ class Ptm:
     def lam(self):
         return self.r[1:, 1:]
 
-    def apply_bloch(self, x):
-        return self.t + self.lam @ np.asarray(x, dtype=float)
-
 
 def ptm(ch):
     """Bloch-picture matrix r[i, j] = Tr(sigma_i Phi(sigma_j)) / 2.
@@ -64,7 +62,7 @@ def ptm(ch):
 
 def _pauli_action(ks):
     """Pauli-coordinate matrix of rho -> sum_k K_k rho K_k^dag."""
-    return 0.5 * np.einsum('iab,kbc,jcd,kad->ij', _PAULI_T, ks, _PAULI_T,
+    return 0.5 * np.einsum('iab,kbc,jcd,kad->ij', PAULIS, ks, PAULIS,
                            ks.conj()).real
 
 
@@ -99,22 +97,24 @@ def _lorentz_jacobian(f):
     0.5 Re Tr(sigma_i f sigma_j f^dag) moves by Re Tr(sigma_i E sigma_j
     f^dag) along a step E.
     """
-    g = np.einsum('iak,jld,ad->ijkl', _PAULI_T, _PAULI_T,
+    g = np.einsum('iak,jld,ad->ijkl', PAULIS, PAULIS,
                   f.conj()).reshape(4, 4, 4)
     return np.concatenate([g.real, -g.imag], axis=2)
 
 
-def sl2_from_lorentz(l, tol=1e-8):
+def sl2_from_lorentz(l):
     """Invert lorentz_from_sl2 for a proper orthochronous Lorentz matrix.
 
     In matrix-entry coordinates the map is F (x) conj(F); reshuffling its
     16 entries gives the rank-one matrix vec(F) vec(F)^dag, whose top
     eigenvector recovers F. The result is normalized to det F = 1 (the
-    overall sign stays ambiguous, which conjugation cannot see).
+    overall sign stays ambiguous, which conjugation cannot see). F must
+    rebuild l within _FILTER_TOL.
     """
     l = np.asarray(l, dtype=float)
     f = _sl2_nearest(l)
-    if np.abs(lorentz_from_sl2(f) - l).max() > tol * max(np.abs(l).max(), 1.0):
+    if np.abs(lorentz_from_sl2(f) - l).max() > _FILTER_TOL * max(
+            np.abs(l).max(), 1.0):
         raise ValueError("matrix is not a conjugation action within "
                          "tolerance")
     return f
@@ -122,8 +122,7 @@ def sl2_from_lorentz(l, tol=1e-8):
 
 def _sl2_nearest(l):
     """The filter of sl2_from_lorentz, before its reconstruction check."""
-    cmat = np.stack([p.reshape(-1) for p in PAULIS], axis=1)
-    g = cmat @ l @ np.linalg.inv(cmat)
+    g = _PAULI_VEC @ l @ (_PAULI_VEC.conj().T / 2)
     h = g.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
     w, v = np.linalg.eigh((h + h.conj().T) / 2)
     f = v[:, -1] * np.sqrt(max(w[-1], 0.0))
@@ -146,7 +145,7 @@ def su2_from_so3(o):
     l = np.eye(4)
     l[1:, 1:] = o
     u = sl2_from_lorentz(l)
-    if np.abs(u @ u.conj().T - np.eye(2)).max() > 1e-8:
+    if np.abs(u @ u.conj().T - np.eye(2)).max() > _FILTER_TOL:
         raise ValueError("matrix is not a rotation")
     return u
 
@@ -304,16 +303,17 @@ def _eta_complete(cols):
     return np.stack(basis, axis=1)
 
 
-def _slocc_generic(r, tol=1e-7):
+def _slocc_generic(r):
     """Lorentz singular value decomposition r = L1 diag(sig) L2^T.
 
     Diagonalizes M = eta r^T eta r (eta-symmetric, so eigenvectors of
     distinct eigenvalues are automatically eta-orthogonal); each group of
-    equal eigenvalues spans the real part of its eigenspace, [Re v, Im v]
-    (eig may return complex vectors inside a degenerate real eigenspace),
-    and is eta-orthonormalized through its real Gram matrix. Fails
-    (returns None) whenever the spectrum is complex, a group Gram is
-    degenerate (defective M), or the signature is not (+,-,-,-).
+    eigenvalues equal within _TIE_TOL spans the real part of its
+    eigenspace, [Re v, Im v] (eig may return complex vectors inside a
+    degenerate real eigenspace), and is eta-orthonormalized through its
+    real Gram matrix. Fails (returns None) whenever the spectrum is
+    complex, a group Gram is degenerate (defective M), or the signature
+    is not (+,-,-,-).
     """
     m = ETA @ r.T @ ETA @ r
     w, v = np.linalg.eig(m)
@@ -329,7 +329,8 @@ def _slocc_generic(r, tol=1e-7):
     k = 0
     while k < 4:
         grp = [k]
-        while grp[-1] + 1 < 4 and abs(w[grp[-1] + 1] - w[k]) <= tol * scale:
+        while (grp[-1] + 1 < 4
+               and abs(w[grp[-1] + 1] - w[k]) <= _TIE_TOL * scale):
             grp.append(grp[-1] + 1)
         vg = v[:, grp]
         vg = np.linalg.svd(np.hstack([vg.real, vg.imag]))[0][:, :len(grp)]
@@ -565,10 +566,7 @@ def slocc_normal_form(ch):
     p = ptm(ch)
     r = p.r
     if np.abs(p.lam).max() <= 1e-8 and abs(np.linalg.norm(p.t) - 1) <= 1e-8:
-        t = p.t / np.linalg.norm(p.t)
-        rho = (np.eye(2, dtype=complex) + t[0] * SX + t[1] * SY
-               + t[2] * SZ) / 2
-        w, v = numkit.eigh(rho)
+        w, v = numkit.eigh(numkit.bloch_state(p.t / np.linalg.norm(p.t)))
         psi = v[:, -1]
         perp = numkit.svd(psi.reshape(1, 2).conj())[2][:, 1]
         b = np.stack([psi, perp], axis=1)
@@ -877,17 +875,17 @@ def kraus_contraction_form(ch):
 
 # --- entanglement breaking and fidelity --------------------------------------
 
-def is_entanglement_breaking(ch, tol=1e-9):
+def is_entanglement_breaking(ch, tol=numkit.PSD_TOL):
     """Whether the channel output is always separable.
 
     True when the dual state's partial transpose has no eigenvalue below
-    -max(tol, 1e-9); for two qubits a positive partial transpose is
-    exactly separability. Channels within the band of the threshold
-    count as breaking.
+    -max(tol, numkit.PSD_TOL); for two qubits a positive partial
+    transpose is exactly separability. Channels within the band of the
+    threshold count as breaking.
     """
     _require_qubit_tp(ch)
     ptmin = numkit.eigh(numkit.partial_transpose(ch.jam, 2, 2, 1))[0][0]
-    return bool(ptmin >= -max(tol, 1e-9))
+    return bool(ptmin >= -max(tol, numkit.PSD_TOL))
 
 
 def can_distribute_entanglement(ch):
@@ -897,14 +895,6 @@ def can_distribute_entanglement(ch):
     """
     _require_qubit_tp(ch)
     return float(numkit.eigh(ch.jam)[0][-1]) > 0.5 + 1e-12
-
-
-def _swap(n):
-    p = np.zeros((n * n, n * n))
-    for i in range(n):
-        for j in range(n):
-            p[j * n + i, i * n + j] = 1
-    return p
 
 
 def max_entanglement_fidelity(ch):
@@ -919,7 +909,8 @@ def max_entanglement_fidelity(ch):
     n = ch.dim
     w, v = numkit.eigh(ch.jam)
     f = float(w[-1])
-    chi = _swap(n) @ v[:, -1].conj()
+    # the swap of the two factors
+    chi = v[:, -1].conj().reshape(n, n).T.reshape(-1)
     rho = np.outer(chi, chi.conj())
     out = np.zeros((n * n, n * n), dtype=complex)
     eye = np.eye(n, dtype=complex)

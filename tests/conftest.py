@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from qchan import channel
+from qchan import channel, qubit
 
 
 def random_unitary(rng, n):
@@ -34,3 +34,25 @@ def random_tp_channel(rng, n, m):
     q = np.linalg.qr(g)[0]
     return channel.Channel([q[k * n:(k + 1) * n, :] for k in range(m)],
                            require_tp=True)
+
+
+def pauli_channel(s1, s2, s3):
+    """Pauli-diagonal channel with distortion diag(s1, s2, s3)."""
+    w = np.array([1 + s1 + s2 + s3, 1 + s1 - s2 - s3,
+                  1 - s1 + s2 - s3, 1 - s1 - s2 + s3]) / 4
+    if w.min() < 0:
+        raise ValueError("not completely positive")
+    ops = [np.sqrt(w[0]) * np.eye(2, dtype=complex),
+           np.sqrt(w[1]) * qubit.SX,
+           np.sqrt(w[2]) * qubit.SY,
+           np.sqrt(w[3]) * qubit.SZ]
+    return channel.Channel(ops, require_tp=True)
+
+
+def filtered_tp(ch, a, b):
+    """Filter on both sides, then renormalize back to trace preservation."""
+    ks = [b @ k @ a for k in ch.kraus]
+    s = sum(k.conj().T @ k for k in ks)
+    w, v = np.linalg.eigh(s)
+    s_inv_half = (v / np.sqrt(w)) @ v.conj().T
+    return channel.Channel([k @ s_inv_half for k in ks], require_tp=True)

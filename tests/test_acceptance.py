@@ -11,8 +11,8 @@ import time
 import numpy as np
 
 from qchan import capacity, channel, extremal, numkit, qubit
-from conftest import random_density, random_pure, random_tp_channel, \
-    random_unitary
+from conftest import filtered_tp, pauli_channel, random_density, \
+    random_pure, random_tp_channel, random_unitary
 
 
 def _verdict(capsys, num, label, body):
@@ -24,26 +24,6 @@ def _verdict(capsys, num, label, body):
         raise
     with capsys.disabled():
         print("\ncriterion %2d  %-44s PASS" % (num, label))
-
-
-def _pauli_channel(s1, s2, s3):
-    w = np.array([1 + s1 + s2 + s3, 1 + s1 - s2 - s3,
-                  1 - s1 + s2 - s3, 1 - s1 - s2 + s3]) / 4
-    if w.min() < 0:
-        raise ValueError("not completely positive")
-    ops = [np.sqrt(w[0]) * np.eye(2, dtype=complex),
-           np.sqrt(w[1]) * qubit.SX,
-           np.sqrt(w[2]) * qubit.SY,
-           np.sqrt(w[3]) * qubit.SZ]
-    return channel.Channel(ops, require_tp=True)
-
-
-def _filtered_tp(ch, a, b):
-    ks = [b @ k @ a for k in ch.kraus]
-    s = sum(k.conj().T @ k for k in ks)
-    w, v = np.linalg.eigh(s)
-    s_inv_half = (v / np.sqrt(w)) @ v.conj().T
-    return channel.Channel([k @ s_inv_half for k in ks], require_tp=True)
 
 
 def test_criterion_01_signed_kraus_transpose(capsys):
@@ -309,12 +289,12 @@ def test_criterion_10_normal_forms(capsys):
 
         seeds = [(0.6, 0.45, 0.2), (0.7, 0.5, 0.3), (0.9, 0.2, 0.15)]
         for seed in seeds:
-            base = _pauli_channel(*seed)
+            base = pauli_channel(*seed)
             a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) \
                 + 2 * np.eye(2)
             b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) \
                 + 2 * np.eye(2)
-            form = qubit.slocc_normal_form(_filtered_tp(base, a, b))
+            form = qubit.slocc_normal_form(filtered_tp(base, a, b))
             assert form.kind == "Generic"
             assert np.abs(np.asarray(form.s) - np.asarray(seed)).max() \
                 <= 1e-6

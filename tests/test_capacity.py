@@ -372,6 +372,7 @@ _DENSE = capacity._fibonacci_sphere(20000)
 
 @settings(max_examples=40, deadline=None)
 @given(_SEEDS, st.integers(1, 4), st.sampled_from(["chi", "a", "b"]))
+@example(42141, 1, "a")
 def test_sphere_min_is_a_lower_bound(seed, rank, kind):
     """On the calls of the solvers, the bound lies below f - y0 - y.u on a
     dense grid, and the direction returned attains it up to the

@@ -76,8 +76,8 @@ def test_split_extremal():
         extremal.split_extremal(channel.amplitude_damping(0.3))
     # both sides keep the trace condition however lopsided the weight
     sp = extremal.split_extremal(channel.depolarizing(1e-6))
-    assert channel.is_tp(sp.left, atol=1e-12)
-    assert channel.is_tp(sp.right, atol=1e-12)
+    assert sp.left.tp_deviation <= 1e-12
+    assert sp.right.tp_deviation <= 1e-12
     assert extremal.is_extremal_tp(sp.left)
 
 
@@ -142,7 +142,7 @@ def _check_peel(ch):
     assert len(parts) <= channel.rank(ch)
     assert weights.min() > 0 and abs(weights.sum() - 1) <= 1e-12
     for _, part in parts:
-        assert channel.is_tp(part, atol=1e-12)
+        assert part.tp_deviation <= 1e-12
         assert extremal.is_extremal_tp(part)
     rebuilt = sum(w * part.choi for w, part in parts)
     assert np.abs(rebuilt - ch.choi).max() <= 1e-10

@@ -9,6 +9,7 @@ import types
 import pytest
 
 import qchan
+from qchan import numkit, qubit
 
 
 def run_python(*args, timeout=120):
@@ -194,3 +195,39 @@ def test_every_private_module_name_is_used():
                     used.add(ref)
     assert len(defined) > 50
     assert {n: m for n, m in defined.items() if n not in used} == {}
+
+
+# the only tolerance parameters: --tol reaches the first two, and callers
+# pass the other two a threshold other than the default
+TOLERANCE_PARAMETERS = {"channel.rank", "qubit.is_entanglement_breaking",
+                        "numkit.sqrt_psd", "extremal._perturbation"}
+
+
+def _functions(body, prefix):
+    """(qualified name, node) of every function and method under body."""
+    for node in body:
+        if isinstance(node, ast.ClassDef):
+            yield from _functions(node.body, prefix + node.name + ".")
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield prefix + node.name, node
+            yield from _functions(node.body, prefix + node.name + ".")
+
+
+def test_one_tolerance_policy():
+    """A tolerance is the constant of the module that owns the decision,
+    not a parameter, but for the four functions whose callers vary it;
+    and the Pauli matrices have one home."""
+    package = os.path.dirname(qchan.__file__)
+    found = set()
+    for path in sorted(glob.glob(os.path.join(package, "*.py"))):
+        module = os.path.basename(path)[:-3]
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        for name, node in _functions(tree.body, module + "."):
+            args = node.args
+            names = {a.arg for a in args.posonlyargs + args.args
+                     + args.kwonlyargs}
+            if names & {"tol", "atol"}:
+                found.add(name)
+    assert found == TOLERANCE_PARAMETERS
+    assert qubit.PAULIS is numkit.PAULIS

@@ -6,8 +6,8 @@ import scipy.optimize
 from hypothesis import assume, given, settings, strategies as st
 
 from qchan import channel, cli, extremal, numkit, qubit
-from conftest import random_density, random_pure, random_tp_channel, \
-    random_unitary
+from conftest import filtered_tp, pauli_channel, random_density, \
+    random_pure, random_tp_channel, random_unitary
 
 
 def bell_state():
@@ -15,30 +15,8 @@ def bell_state():
     return np.outer(psi, psi).astype(complex)
 
 
-def pauli_channel(s1, s2, s3):
-    """Pauli-diagonal channel with distortion diag(s1, s2, s3)."""
-    w = np.array([1 + s1 + s2 + s3, 1 + s1 - s2 - s3,
-                  1 - s1 + s2 - s3, 1 - s1 - s2 + s3]) / 4
-    if w.min() < 0:
-        raise ValueError("not completely positive")
-    ops = [np.sqrt(w[0]) * np.eye(2, dtype=complex),
-           np.sqrt(w[1]) * qubit.SX,
-           np.sqrt(w[2]) * qubit.SY,
-           np.sqrt(w[3]) * qubit.SZ]
-    return channel.Channel(ops, require_tp=True)
-
-
 def conjugated(ch, u_pre, u_post):
     return channel.Channel([u_post @ k @ u_pre for k in ch.kraus])
-
-
-def filtered_tp(ch, a, b):
-    """Filter on both sides, then renormalize back to trace preservation."""
-    ks = [b @ k @ a for k in ch.kraus]
-    s = sum(k.conj().T @ k for k in ks)
-    w, v = np.linalg.eigh(s)
-    s_inv_half = (v / np.sqrt(w)) @ v.conj().T
-    return channel.Channel([k @ s_inv_half for k in ks], require_tp=True)
 
 
 # --- Pauli transfer matrix and ellipsoid --------------------------------------
