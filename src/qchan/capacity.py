@@ -193,11 +193,17 @@ def _perspective(p, nv):
     return -(_xlogx(qp) + _xlogx(qm) - _xlogx(p)) / LOG2
 
 
+def _remote(frame, u):
+    """p = 1 + a.u and v = b + T^T u at points u (k, 3), summed in one
+    order for any k; a matmul's order varies with k, shifting f by 1e-14."""
+    a, b, tt = frame
+    return 1 + np.einsum("...i,i", u, a), b + np.einsum("...i,ij", u, tt)
+
+
 def _frame_entropy(frame, u):
     """f(u) = p H(v / p) in bits at points u (k, 3) of the frame."""
-    a, b, tt = frame
-    p = np.maximum(1 + u @ a, 0.0)
-    return _perspective(p, np.sqrt(np.sum((b + u @ tt) ** 2, axis=-1)))
+    p, v = _remote(frame, u)
+    return _perspective(np.maximum(p, 0.0), np.sqrt(np.sum(v ** 2, axis=-1)))
 
 
 def _frame_terms(frame, u, bases):
@@ -210,9 +216,9 @@ def _frame_terms(frame, u, bases):
     tangent images l B are nearly orthogonal to rho, and the large radial
     curvature c2 then meets only the small projections (l B)^T rho.
     """
-    a, b, tt = frame
-    p = np.maximum(1 + u @ a, 1e-100)
-    v = b + u @ tt
+    a, _, tt = frame
+    p, v = _remote(frame, u)
+    p = np.maximum(p, 1e-100)
     nv = np.sqrt(np.sum(v * v, axis=1))
     # |v| <= p but for rounding; a pure remote state stays pure
     rho = v / np.maximum(p, nv)[:, None]
@@ -246,8 +252,9 @@ def _sphere_min(frame, y0, y, starts):
     step that raises the value by more than 1e-14 is halved instead.
     A start stops when its gradient is at rounding level, when its step
     is halved below 1e-12 or after 100 steps. The minimum found is
-    lowered by an allowance for rounding in f (below 2 bits) and in the
-    affine part.
+    lowered by an allowance for rounding in the affine part and in f.
+    Near a pure remote state q- = (p - |v|) / 2 is a few eps of rounding,
+    where x log x has slope log(1/eps): f's allowance is 8 eps log2(1/eps).
     """
     vals = _frame_entropy(frame, _GRID) - _GRID @ y
     u = np.concatenate([_GRID[np.argsort(vals)[:3]], starts])
@@ -279,7 +286,8 @@ def _sphere_min(frame, y0, y, starts):
         cand = u[live] + tau[live, None] * step[live]
         cand /= np.linalg.norm(cand, axis=1)[:, None]
     best = np.argmin(val)
-    allowance = 256 * np.finfo(float).eps * (1 + abs(y0) + np.linalg.norm(y))
+    eps = np.finfo(float).eps
+    allowance = eps * (-8 * np.log2(eps) + 256 * (abs(y0) + np.linalg.norm(y)))
     return val[best] - y0 - allowance, u[best]
 
 
@@ -556,7 +564,7 @@ def chi_given_average(ch, rho_avg):
     """
     qubit._require_qubit_tp(ch)
     rho_avg = numkit.require_density(rho_avg, 2)[0]
-    ks = channel.kraus_from_choi(ch.choi_pair)
+    ks = channel.kraus_from_choi(ch.choi)
     if len(ks) == 1:
         cval = 0.0
     elif len(ks) == 2:

@@ -9,6 +9,8 @@ jam. Hermitian-preserving maps that are not CP get a signed Kraus form
 instead, with real weights of either sign.
 """
 
+import math
+
 import numpy as np
 
 from . import numkit
@@ -26,34 +28,12 @@ def choi_matrix(kraus):
     return c
 
 
-class ChoiPair:
-    """Unnormalized Choi matrix and its trace-1 Jamiolkowski state."""
-
-    def __init__(self, choi):
-        choi = numkit.require_hermitian(choi)
-        d = choi.shape[0]
-        n = int(round(np.sqrt(d)))
-        if n * n != d:
-            raise ValueError("Choi matrix size %d is not a perfect square" % d)
-        self.dim = n
-        self.choi = choi
-        tr = np.trace(choi).real
-        if tr <= 0:
-            raise ValueError("Choi matrix has nonpositive trace")
-        self.jam = choi / tr
-
-    def block(self, i, j):
-        """The image of |i><j| under the map, read out of the Choi blocks."""
-        n = self.dim
-        return self.choi[i * n:(i + 1) * n, j * n:(j + 1) * n]
-
-
 class Channel:
     """A CP map held as Kraus operators; Choi data cached eagerly.
 
     Values are immutable after construction. The Choi matrix of any Kraus
-    list is automatically PSD, so only shape and (optionally) the
-    trace-preserving condition, within TP_TOL, need checking here.
+    list is Hermitian and PSD by construction, so only shape, a positive
+    trace and (optionally) trace preservation, within TP_TOL, are checked.
     """
 
     def __init__(self, kraus, require_tp=False):
@@ -67,7 +47,11 @@ class Channel:
                                  "one dimension, got shape %s" % (a.shape,))
         self.dim = n
         self.kraus = ops
-        self.choi_pair = ChoiPair(choi_matrix(ops))
+        self.choi = choi_matrix(ops)
+        tr = np.trace(self.choi).real
+        if tr <= 0:
+            raise ValueError("Choi matrix has nonpositive trace")
+        self.jam = self.choi / tr
         # the one trace test, which is_tp reads: largest entry of
         # sum_i A_i^dag A_i - I
         ksum = sum(a.conj().T @ a for a in ops)
@@ -77,34 +61,20 @@ class Channel:
             raise ValueError("Kraus operators do not preserve the trace "
                              "(deviation %.3e)" % self.tp_deviation)
 
-    @property
-    def choi(self):
-        return self.choi_pair.choi
-
-    @property
-    def jam(self):
-        return self.choi_pair.jam
-
     def __call__(self, rho):
         return apply(self, rho)
 
 
-def choi(ch):
-    """The ChoiPair of a channel."""
-    return ch.choi_pair
-
-
 def kraus_from_choi(c):
-    """Minimal Kraus list from a Choi matrix (or ChoiPair).
+    """Minimal Kraus list from a Choi matrix.
 
     The operators are the reshaped columns of numkit.sqrt_psd, rescaled
     eigenvectors, hence pairwise orthogonal in the Hilbert-Schmidt inner
     product, and their count equals the numerical rank. A matrix that is
     not PSD is not a valid CP dual state and raises.
     """
-    mat = c.choi if isinstance(c, ChoiPair) else np.asarray(c, dtype=complex)
-    n = int(round(np.sqrt(mat.shape[0])))
-    return [x.reshape(n, n).T for x in numkit.sqrt_psd(mat).T]
+    n = math.isqrt(len(c))
+    return [x.reshape(n, n).T for x in numkit.sqrt_psd(c).T]
 
 
 def apply(ch, rho):
@@ -125,13 +95,16 @@ def apply_via_dual(c, rho):
     The partial transpose and the trace are both over the first
     (input-index) factor.
     """
-    cp = c if isinstance(c, ChoiPair) else ChoiPair(np.asarray(c))
-    n = cp.dim
+    c = numkit.require_hermitian(c)
+    n = math.isqrt(len(c))
+    if n * n != len(c):
+        raise ValueError("Choi matrix size %d is not a perfect square"
+                         % len(c))
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (n, n):
         raise ValueError("state dimension %s does not match Choi dim %d"
                          % (rho.shape, n))
-    pt = numkit.partial_transpose(cp.choi, n, n, 1)
+    pt = numkit.partial_transpose(c, n, n, 1)
     return numkit.partial_trace(pt @ numkit.kron(rho, np.eye(n)), n, n, 1)
 
 

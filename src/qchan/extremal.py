@@ -15,7 +15,6 @@ import numpy as np
 from . import numkit, channel
 
 _NULL_TOL = 1e-10  # products of the v_i count as dependent below this
-_CONSTRAINED_TOL = 1e-8  # the same for is_extremal_constrained's family
 
 
 class AlreadyExtremalError(ValueError):
@@ -28,7 +27,7 @@ def _minimal_kraus(ch):
     # regardless of how ch was built
     if not channel.is_tp(ch):
         raise ValueError("channel is not trace-preserving")
-    return channel.kraus_from_choi(ch.choi_pair)
+    return channel.kraus_from_choi(ch.choi)
 
 
 def _directions(ch):
@@ -60,24 +59,20 @@ def is_extremal_constrained(ch, rho1):
 
     The test family is {A_i^dag A_j (+) A_j rho1 A_i^dag}; the direct sum
     doubles the ambient dimension, so m <= floor(sqrt(2 n^2)) is applied
-    before the rank test at _CONSTRAINED_TOL.
+    before is_extremal_tp's null test, run on the doubled family.
     """
-    ks = _minimal_kraus(ch)
+    v = _directions(ch)[0]
     rho1 = numkit.require_density(rho1, ch.dim)[0]
-    m, n = len(ks), ch.dim
-    if m * m > 2 * n * n:
-        return False
-    rows = np.array([np.concatenate([numkit.mat_to_vec(a.conj().T @ b),
-                                     numkit.mat_to_vec(b @ rho1 @ a.conj().T)])
-                     for a in ks for b in ks])
-    s = numkit.svd(rows)[1]
-    return bool(s[-1] > _CONSTRAINED_TOL * s[0])
+    return (len(v) ** 2 <= 2 * ch.dim ** 2
+            and _perturbation(v, rho1=rho1) is None)
 
 
-def _perturbation(ks, tol=_NULL_TOL):
+def _perturbation(ks, tol=_NULL_TOL, rho1=None):
     """The unit Hermitian Q with sum_jk Q_jk A_k^dag A_j = 0 (singular
     values up to tol times the largest counting as zero) of least
     off-diagonal mass, its largest-magnitude eigenvalue positive, or None.
+    With rho1 given, Q must also annihilate sum_jk Q_jk A_j rho1 A_k^dag,
+    the doubled family of is_extremal_constrained.
 
     The null space comes from an SVD of the map itself, as a Gram matrix
     would square the conditioning. Its elements are Frobenius-orthonormal,
@@ -89,6 +84,9 @@ def _perturbation(ks, tol=_NULL_TOL):
     m = len(ks)
     # row b: the image of basis element b, real and imaginary parts
     prods = np.einsum("jax,kay->jkxy", ks.conj(), ks)
+    if rho1 is not None:
+        prods = np.concatenate([prods, np.einsum(
+            "kxa,ab,jyb->jkxy", ks, rho1, ks.conj())], axis=3)
     out = numkit.hermitian_coords(prods).reshape(m * m, -1)
     u, s = np.linalg.svd(np.concatenate([out.real, out.imag], axis=1))[:2]
     null = u[:, np.count_nonzero(s > tol * s[0]):]
@@ -253,6 +251,16 @@ def _singular_combination(ks):
     return best
 
 
+def _kernel_complement(ks):
+    """A unit kernel vector x of a singular combination of the A_i and an
+    orthonormal basis of span{A_i x}^perp; that span has dimension < m."""
+    m = len(ks)
+    c = _singular_combination(ks)
+    x = numkit.svd(sum(c[i] * ks[i] for i in range(m)))[2][:, -1]
+    u = numkit.svd(np.array([a @ x for a in ks]).T)[0]
+    return x, u[:, m - 1:]
+
+
 def rank_reducing_input(ch):
     """A pure input whose image has rank below the channel rank.
 
@@ -268,14 +276,7 @@ def rank_reducing_input(ch):
     if m < 2:
         raise ValueError("a unitary (rank-1) channel maps pure states to "
                          "pure states; no rank drop exists")
-    c = _singular_combination(ks)
-    mat = sum(c[i] * ks[i] for i in range(m))
-    psi = numkit.svd(mat)[2][:, -1]
-    # the image of psi psi^dag is supported on span{A_i psi}, which has
-    # dimension at most m-1 by construction; chi spans the orthocomplement
-    span = np.array([a @ psi for a in ks]).T
-    u = numkit.svd(span)[0]
-    chi_space = u[:, m - 1:]
+    psi, chi_space = _kernel_complement(ks)
     return psi, chi_space[:, 0], chi_space
 
 
@@ -287,8 +288,7 @@ def orthogonal_product_states(rho, m=None):
     for m >= 2, pick c with sum c_i B_i singular and b from its kernel;
     for m = 1, each basis column of the single B gives a state.
     """
-    rho = numkit.require_hermitian(rho)
-    d = rho.shape[0]
+    d = len(rho)
     n = int(round(np.sqrt(d)))
     if n * n != d:
         raise ValueError("state does not live on n (x) n")
@@ -308,20 +308,12 @@ def orthogonal_product_states(rho, m=None):
             # the kernel of <col|; a zero column leaves all of C^n
             _, sv, basis = numkit.svd(bs[0][:, k].reshape(1, n).conj())
             kern = basis[:, int(sv[0] > 1e-12 * scale):]
-            b = np.zeros(n, dtype=complex)
-            b[k] = 1
-            for j in range(kern.shape[1]):
-                states.append(np.kron(kern[:, j], b.conj()))
+            b = np.eye(n, dtype=complex)[k]
+            states.extend(np.kron(a, b.conj()) for a in kern.T)
     else:
-        c = _singular_combination(bs)
-        mat = sum(c[i] * bs[i] for i in range(m))
-        bbar = numkit.svd(mat)[2][:, -1]
-        # a must be orthogonal to every range vector B_i bbar; their span
-        # has dimension at most m-1 since the c-combination annihilates bbar
-        span = np.array([b @ bbar for b in bs]).T
-        u = numkit.svd(span)[0]
-        for j in range(m - 1, n):
-            states.append(np.kron(u[:, j], bbar.conj()))
+        # a must be orthogonal to every range vector B_i bbar
+        bbar, u = _kernel_complement(bs)
+        states.extend(np.kron(a, bbar.conj()) for a in u.T)
     if len(states) < n - m + 1:
         raise RuntimeError("found %d product states, expected at least %d"
                            % (len(states), n - m + 1))

@@ -120,11 +120,11 @@ def require_hermitian(m):
 def require_density(rho, dim=None):
     """Validate a density matrix; return it with its eigenvalues.
 
-    rho must be Hermitian (require_hermitian), of shape dim x dim when
-    dim is given, PSD (psd_floor) and of trace 1 within 1e-9.
+    rho must be of shape dim x dim when dim is given, Hermitian (eigh's
+    require_hermitian), PSD (psd_floor) and of trace 1 within 1e-9.
     """
-    rho = require_hermitian(rho)
-    if dim is not None and rho.shape[0] != dim:
+    rho = np.asarray(rho, dtype=complex)
+    if dim is not None and rho.shape != (dim, dim):
         raise ValueError("expected a %dx%d density matrix" % (dim, dim))
     w = eigh(rho)[0]
     if w[0] < -psd_floor(w) or abs(w.sum() - 1) > 1e-9:

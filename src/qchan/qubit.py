@@ -74,12 +74,9 @@ def ellipsoid(ch):
     the axes; points are orientation @ diag(semi_axes) @ u + center.
     """
     p = ptm(ch)
-    u, s, v = np.linalg.svd(p.lam)
+    u, s = np.linalg.svd(p.lam)[:2]
     if np.linalg.det(u) < 0:
-        u = u.copy()
         u[:, 2] *= -1
-        v = v.copy()
-        v[2, :] *= -1
     return p.t.copy(), s, u
 
 
@@ -660,7 +657,7 @@ def extremal_form_of(ch):
     must match to 1e-9.
     """
     _require_qubit_tp(ch)
-    ks = channel.kraus_from_choi(ch.choi_pair)
+    ks = channel.kraus_from_choi(ch.choi)
     if len(ks) > 2:
         raise ValueError("channel has rank %d > 2" % len(ks))
     if len(ks) == 1:
@@ -917,9 +914,7 @@ def max_entanglement_fidelity(ch):
     for a in ch.kraus:
         ext = numkit.kron(eye, a)
         out += ext @ rho @ ext.conj().T
-    phi = np.zeros(n * n, dtype=complex)
-    for i in range(n):
-        phi[i * n + i] = 1 / np.sqrt(n)
+    phi = eye.reshape(-1) / np.sqrt(n)
     direct = float((phi.conj() @ out @ phi).real)
     if abs(direct - f) > 1e-10:
         raise RuntimeError("fidelity eigenvector failed direct evaluation")

@@ -19,13 +19,13 @@ def test_choi_identity():
 def test_choi_blocks_are_basis_images():
     rng = np.random.default_rng(0)
     ch = random_tp_channel(rng, 3, 2)
-    cp = channel.choi(ch)
     for i in range(3):
         for j in range(3):
             e = np.zeros((3, 3), dtype=complex)
             e[i, j] = 1
             img = sum(a @ e @ a.conj().T for a in ch.kraus)
-            assert np.abs(cp.block(i, j) - img).max() < 1e-12
+            block = ch.choi[3 * i:3 * i + 3, 3 * j:3 * j + 3]
+            assert np.abs(block - img).max() < 1e-12
 
 
 def test_jam_normalization():
@@ -50,7 +50,7 @@ def test_kraus_choi_roundtrip():
     for n in (2, 3):
         for m in range(1, n + 1):
             ch = random_tp_channel(rng, n, m)
-            ks = channel.kraus_from_choi(ch.choi_pair)
+            ks = channel.kraus_from_choi(ch.choi)
             assert len(ks) == m  # minimal count equals the rank
             back = channel.Channel(ks)
             assert np.abs(back.choi - ch.choi).max() < 1e-10
@@ -69,7 +69,7 @@ def test_apply_matches_dual_route():
             ch = random_tp_channel(rng, n, int(rng.integers(1, n + 1)))
             rho = random_density(rng, n)
             direct = channel.apply(ch, rho)
-            via_dual = channel.apply_via_dual(ch.choi_pair, rho)
+            via_dual = channel.apply_via_dual(ch.choi, rho)
             assert np.abs(direct - via_dual).max() < 1e-10
 
 

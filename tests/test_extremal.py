@@ -3,7 +3,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qchan import channel, extremal, numkit
-from conftest import random_density, random_tp_channel, random_unitary
+from conftest import (random_density, random_pure, random_tp_channel,
+                      random_unitary)
 
 
 def test_unitary_channels_extremal():
@@ -39,6 +40,59 @@ def test_constrained_extremality():
                                          np.diag([0.9, 0.3]))
 
 
+def _constrained_by_complex_rank(ch, rho1):
+    """Reference for is_extremal_constrained: the m^2 complex rows
+    A_i^dag A_j (+) A_j rho1 A_i^dag are linearly independent, no
+    singular value at or below 1e-8 of the largest."""
+    ks = channel.kraus_from_choi(ch.choi)
+    m, n = len(ks), ch.dim
+    if m * m > 2 * n * n:
+        return False
+    rows = np.array([np.concatenate([(a.conj().T @ b).ravel(),
+                                     (b @ rho1 @ a.conj().T).ravel()])
+                     for a in ks for b in ks])
+    s = np.linalg.svd(rows, compute_uv=False)
+    return bool(s[-1] > 1e-8 * s[0])
+
+
+def _held_state(rng, n, kind):
+    if kind == "pure":
+        psi = random_pure(rng, n)
+        return np.outer(psi, psi.conj())
+    if kind == "mixed":
+        return np.eye(n) / n
+    return random_density(rng, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1),
+       st.integers(2, 3).flatmap(lambda n: st.tuples(
+           st.just(n), st.integers(1, n * n))),
+       st.sampled_from(["random", "pure", "mixed"]))
+def test_constrained_extremality_matches_the_complex_rank(seed, shape, kind):
+    """The null test of _perturbation on the doubled family gives the
+    verdict of the complex rank of its rows, at every rank of qubit and
+    qutrit channels, with rho1 random, pure or I / n."""
+    rng = np.random.default_rng(seed)
+    n, m = shape
+    ch = random_tp_channel(rng, n, m)
+    rho1 = _held_state(rng, n, kind)
+    assert (extremal.is_extremal_constrained(ch, rho1)
+            == _constrained_by_complex_rank(ch, rho1))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 3), st.integers(2, 4),
+       st.booleans())
+def test_unitary_mixtures_are_not_extremal_unital(seed, n, k, equal):
+    """With I / n held fixed (the unital face) a mixture of unitaries is
+    never extremal, and both tests say so."""
+    ch = _unitary_mixture(seed, n, k, equal)
+    mixed = np.eye(n) / n
+    assert not extremal.is_extremal_constrained(ch, mixed)
+    assert not _constrained_by_complex_rank(ch, mixed)
+
+
 def test_find_perturbation():
     rng = np.random.default_rng(1)
     assert extremal.find_perturbation(channel.amplitude_damping(0.4)) is None
@@ -48,14 +102,14 @@ def test_find_perturbation():
         assert q is not None
         assert np.abs(q - q.conj().T).max() < 1e-10
         assert abs(np.linalg.norm(q) - 1) < 1e-8
-        ks = channel.kraus_from_choi(ch.choi_pair)
+        ks = channel.kraus_from_choi(ch.choi)
         resid = sum(q[j, k] * ks[k].conj().T @ ks[j]
                     for j in range(len(ks)) for k in range(len(ks)))
         assert np.abs(resid).max() < 1e-8
     ch = random_tp_channel(rng, 3, 3)
     q = extremal.find_perturbation(ch)
     if q is not None:
-        ks = channel.kraus_from_choi(ch.choi_pair)
+        ks = channel.kraus_from_choi(ch.choi)
         resid = sum(q[j, k] * ks[k].conj().T @ ks[j]
                     for j in range(len(ks)) for k in range(len(ks)))
         assert np.abs(resid).max() < 1e-8
@@ -85,9 +139,9 @@ def test_split_extremal_derives_the_kraus_directions_once(monkeypatch):
     kraus_from_choi = channel.kraus_from_choi
     calls = []
 
-    def counted(pair):
-        calls.append(pair)
-        return kraus_from_choi(pair)
+    def counted(choi):
+        calls.append(choi)
+        return kraus_from_choi(choi)
 
     monkeypatch.setattr(channel, "kraus_from_choi", counted)
     sp = extremal.split_extremal(channel.depolarizing(0.5))

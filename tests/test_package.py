@@ -231,3 +231,24 @@ def test_one_tolerance_policy():
                 found.add(name)
     assert found == TOLERANCE_PARAMETERS
     assert qubit.PAULIS is numkit.PAULIS
+
+
+# the module-level tolerance constants; a new cut of its own needs an
+# entry here, and a row in README's "Tolerances" table
+TOLERANCE_CONSTANTS = {"numkit.HERM_TOL", "numkit.PSD_TOL", "channel.TP_TOL",
+                       "extremal._NULL_TOL", "qubit._FILTER_TOL",
+                       "qubit._TIE_TOL"}
+
+
+def test_tolerance_constants_are_pinned():
+    """Every module-level *_TOL constant in qchan is one of the six."""
+    package = os.path.dirname(qchan.__file__)
+    found = set()
+    for path in sorted(glob.glob(os.path.join(package, "*.py"))):
+        module = os.path.basename(path)[:-3]
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        for top in tree.body:
+            found |= {module + "." + name for name in _defined_names(top)
+                      if name.endswith("_TOL")}
+    assert found == TOLERANCE_CONSTANTS
