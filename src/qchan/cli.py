@@ -9,9 +9,10 @@ one of:
               e.g. {"builder": "amplitude_damping", "gamma": 0.5}
 
 Matrix entries are written row-major as [re, im] pairs; plain numbers are
-accepted on input and read as reals. Reports come out either as aligned
-text or as a JSON document mirroring the AnalysisReport fields; the
-ellipsoid command emits a one-row CSV with the Bloch image geometry.
+accepted on input and read as reals; NaN, Infinity and numbers beyond
+the float range are refused. Reports come out either as aligned text or
+as one line of JSON mirroring the AnalysisReport fields; the ellipsoid
+command emits a one-row CSV with the Bloch image geometry.
 
 Exit status is 0 when every requested analysis completed (an analysis
 that reports its own hypothesis failure, like the rank-2 capacity
@@ -26,6 +27,7 @@ import argparse
 import csv
 import functools
 import json
+import math
 import os
 import sys
 
@@ -40,23 +42,23 @@ class ChannelFileError(Exception):
 
 # --- value encoding ---------------------------------------------------------
 
-def _entry(z):
-    """One complex entry as [re, im]."""
-    z = complex(z)
-    return [float(z.real), float(z.imag)]
-
-
 def _encode_matrix(m):
-    return [[_entry(z) for z in row] for row in np.asarray(m)]
+    """Rows of [re, im] pairs, as plain Python floats."""
+    m = np.ascontiguousarray(m, dtype=complex)
+    # a complex array's memory is its entries' (re, im) float pairs
+    return m.view(float).reshape(m.shape + (2,)).tolist()
 
 
 def _decode_entry(v, where):
-    if isinstance(v, (int, float)) and not isinstance(v, bool):
-        return complex(v)
-    if (isinstance(v, list) and len(v) == 2
-            and all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                    for x in v)):
-        return complex(v[0], v[1])
+    try:
+        if isinstance(v, (int, float)) and not isinstance(v, bool):
+            return complex(v)
+        if (isinstance(v, list) and len(v) == 2
+                and all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                        for x in v)):
+            return complex(v[0], v[1])
+    except OverflowError:  # an integer beyond the float range
+        raise ChannelFileError("%s: not a finite number" % where)
     raise ChannelFileError("%s: expected a number or [re, im] pair, got %r"
                            % (where, v))
 
@@ -76,7 +78,13 @@ def _decode_matrix(rows, where):
                                    % (where, i, len(row), width))
         out.append([_decode_entry(v, "%s[%d][%d]" % (where, i, j))
                     for j, v in enumerate(row)])
-    return np.array(out, dtype=complex)
+    mat = np.array(out, dtype=complex)
+    finite = np.isfinite(mat)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        raise ChannelFileError("%s[%d][%d]: not a finite number"
+                               % (where, i, j))
+    return mat
 
 
 # --- channel files ----------------------------------------------------------
@@ -152,6 +160,9 @@ def load_channel_file(path):
             if isinstance(val, list):
                 params[key] = _decode_matrix(val, key)
             elif isinstance(val, (int, float)) and not isinstance(val, bool):
+                if isinstance(val, float) and not math.isfinite(val):
+                    raise ChannelFileError("%s: %s: not a finite number"
+                                           % (path, key))
                 params[key] = val
             else:
                 raise ChannelFileError(
@@ -174,19 +185,19 @@ def load_channel_file(path):
     return ch, source
 
 
+def _write_doc(path, doc):
+    with open(path, "w") as fh:
+        fh.write(json.dumps(doc) + "\n")
+
+
 def write_choi_file(path, ch):
     """Emit a channel as a choi-format file (the round-trip form)."""
-    doc = {"dim": ch.dim, "choi": _encode_matrix(ch.choi)}
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+    _write_doc(path, {"dim": ch.dim, "choi": _encode_matrix(ch.choi)})
 
 
 def write_kraus_file(path, ch):
-    doc = {"dim": ch.dim, "kraus": [_encode_matrix(a) for a in ch.kraus]}
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+    _write_doc(path, {"dim": ch.dim,
+                      "kraus": [_encode_matrix(a) for a in ch.kraus]})
 
 
 # --- reports ----------------------------------------------------------------
@@ -304,7 +315,7 @@ def _run_analysis(name, ch, flags):
         if name == "choi":
             jam_w = np.linalg.eigvalsh(ch.jam)
             return {"matrix": _encode_matrix(ch.choi),
-                    "jam_eigenvalues": [float(x) for x in jam_w]}
+                    "jam_eigenvalues": jam_w.tolist()}
         if name == "extremality":
             return {"extremal": bool(extremal.is_extremal_tp(ch)),
                     "method": "kraus-product rank test"}
@@ -317,11 +328,11 @@ def _run_analysis(name, ch, flags):
         if name == "normal_forms":
             lu = qubit.lu_normal_form(ch)
             slocc = qubit.slocc_normal_form(ch)
-            out = {"lu": {"lambdas": [float(x) for x in lu.lambdas],
-                          "shift": [float(x) for x in lu.shift]},
+            out = {"lu": {"lambdas": list(lu.lambdas),
+                          "shift": list(lu.shift)},
                    "slocc": {"kind": slocc.kind,
                              "scale": float(slocc.scale),
-                             "s": ([float(x) for x in slocc.s]
+                             "s": (list(slocc.s)
                                    if slocc.s is not None else None),
                              "x": (float(slocc.x)
                                    if slocc.x is not None else None)}}
@@ -413,8 +424,7 @@ def cmd_ellipsoid(path, out_csv):
     """Write the Bloch-image geometry of a qubit channel as one CSV row."""
     ch, _ = load_channel_file(path)
     center, axes, orient = qubit.ellipsoid(ch)
-    row = ([float(x) for x in center] + [float(x) for x in axes]
-           + [float(x) for x in orient.reshape(-1)])
+    row = center.tolist() + axes.tolist() + orient.reshape(-1).tolist()
     with open(out_csv, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(ELLIPSOID_HEADER)
@@ -495,12 +505,12 @@ def main(argv=None):
     try:
         if args.command == "analyze":
             report = cmd_analyze(args.path, args)
-            text = (json.dumps(report.as_dict(), indent=2)
+            text = (json.dumps(report.as_dict())
                     if args.format == "structured"
                     else "\n".join(report.text_lines()))
         elif args.command == "decompose":
             report = cmd_decompose(args.path, args)
-            text = (json.dumps(report, indent=2)
+            text = (json.dumps(report)
                     if args.format == "structured"
                     else "\n".join(_decompose_text(report)))
         else:

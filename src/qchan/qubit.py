@@ -908,14 +908,10 @@ def max_entanglement_fidelity(ch):
     f = float(w[-1])
     # the swap of the two factors
     chi = v[:, -1].conj().reshape(n, n).T.reshape(-1)
-    rho = np.outer(chi, chi.conj())
-    out = np.zeros((n * n, n * n), dtype=complex)
-    eye = np.eye(n, dtype=complex)
-    for a in ch.kraus:
-        ext = numkit.kron(eye, a)
-        out += ext @ rho @ ext.conj().T
-    phi = eye.reshape(-1) / np.sqrt(n)
-    direct = float((phi.conj() @ out @ phi).real)
+    # sum_k |<phi|(I x A_k)|chi>|^2 with phi = vec(I) / sqrt(n): each
+    # overlap is sum_ij (A_k)_ij X_ij / sqrt(n), X = chi as an n x n array
+    amps = np.einsum("kij,ij->k", np.asarray(ch.kraus), chi.reshape(n, n))
+    direct = float(np.vdot(amps, amps).real) / n
     if abs(direct - f) > 1e-10:
         raise RuntimeError("fidelity eigenvector failed direct evaluation")
     return f, chi

@@ -8,6 +8,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qchan import capacity, channel, cli, extremal
 from conftest import random_density
@@ -50,6 +51,16 @@ def test_load_plain_real_entries(tmp_path):
     assert np.abs(ch.choi - channel.identity(2).choi).max() < 1e-12
 
 
+# json.load reads NaN and Infinity; each file names its first bad field
+NON_FINITE = [
+    ('{"kraus": [[[1, 0], [0, NaN]]]}', "kraus[0][1][1]"),
+    (json.dumps({"choi": [[math.inf if i == j == 0 else float(i == j)
+                           for j in range(4)] for i in range(4)]}),
+     "choi[0][0]"),
+    ('{"builder": "depolarizing", "p": NaN}', "p"),
+]
+
+
 def test_load_rejects_malformed(tmp_path):
     cases = [
         "{not json",
@@ -59,12 +70,84 @@ def test_load_rejects_malformed(tmp_path):
         json.dumps({"builder": "amplitude_damping", "gamma": 2.0}),
         json.dumps({"dim": 3, "builder": "phase_flip", "p": 0.1}),
         json.dumps({"kraus": [[[1, 0], [0]]]}),
-    ]
+    ] + [text for text, _ in NON_FINITE]
     for k, text in enumerate(cases):
         path = tmp_path / ("bad%d.json" % k)
         path.write_text(text)
         with pytest.raises(cli.ChannelFileError):
             cli.load_channel_file(str(path))
+
+
+@pytest.mark.parametrize("text, field", NON_FINITE + [
+    # an integer beyond the float range is as infinite as Infinity
+    ('{"kraus": [[[1, 0], [0, 1%s]]]}' % ("0" * 400), "kraus[0][1][1]")],
+    ids=["kraus-nan", "choi-inf", "builder-nan", "kraus-huge-int"])
+def test_load_names_the_non_finite_field(tmp_path, capsys, text, field):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert run(["analyze", str(path), "--rank"]) == 2
+    assert _one_error_line(capsys).rstrip().endswith(
+        field + ": not a finite number")
+
+
+def _encode_per_entry(m):
+    """The reference encoding: one [re, im] pair of floats per entry."""
+    return [[[float(complex(z).real), float(complex(z).imag)] for z in row]
+            for row in np.asarray(m)]
+
+
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+                1e-300, -1e-300, 1e300, -1e300, 1.7976931348623157e308]
+
+
+@st.composite
+def _complex_matrices(draw):
+    rows, cols = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    parts = st.lists(st.one_of(st.sampled_from(_EDGE_FLOATS),
+                               st.floats(allow_nan=False,
+                                         allow_infinity=False)),
+                     min_size=rows * cols, max_size=rows * cols)
+    m = np.empty((rows, cols), dtype=complex)
+    # set the parts separately: re + 1j * im would drop the sign of -0.0
+    m.real = np.reshape(draw(parts), (rows, cols))
+    m.imag = np.reshape(draw(parts), (rows, cols))
+    return m
+
+
+@settings(max_examples=60, deadline=None)
+@given(_complex_matrices())
+def test_matrix_codec_round_trip(m):
+    encoded = cli._encode_matrix(m)
+    assert encoded == _encode_per_entry(m)
+    assert json.dumps(encoded) == json.dumps(_encode_per_entry(m))
+    assert (json.dumps(cli._encode_matrix(m.real))
+            == json.dumps(_encode_per_entry(m.real)))
+    back = cli._decode_matrix(json.loads(json.dumps(encoded)), "m")
+    assert back.dtype == m.dtype and back.shape == m.shape
+    assert back.tobytes() == m.tobytes()
+
+
+def test_structured_output_uses_the_c_encoder(tmp_path, capsys, monkeypatch):
+    """Reports and emitted files are one-shot json.dumps calls without
+    indent, which json's C encoder serves; its pure-Python encoder (taken
+    for any indent, and by json.dump) is never reached."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("json's pure-Python encoder was called")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    path = write_doc(tmp_path, "dep.json",
+                     {"builder": "depolarizing", "p": 0.5})
+    emitted = str(tmp_path / "emitted.json")
+    assert run(["analyze", path, "--all", "--format", "structured",
+                "--emit-choi", emitted]) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1
+    assert set(json.loads(out)["results"]) == set(cli.ANALYSES)
+    assert run(["decompose", path, "--format", "structured"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1
+    assert len(json.loads(out)["components"]) >= 2
+    cli.write_kraus_file(str(tmp_path / "k.json"), channel.depolarizing(0.5))
 
 
 def test_analyze_amplitude_damping_report(tmp_path, capsys):

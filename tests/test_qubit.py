@@ -659,3 +659,21 @@ def test_max_entanglement_fidelity_qutrit():
     f, chi = qubit.max_entanglement_fidelity(ch)
     assert 0 <= f <= 1
     assert abs(np.linalg.norm(chi) - 1) < 1e-10
+
+
+def test_max_entanglement_fidelity_check_catches_a_turned_input(monkeypatch):
+    """The direct evaluation is a real check: a top eigenvector turned by
+    1e-3 rad toward the next one (dual-state eigenvalues 0.75 and 0.25)
+    misses f by 5e-7 and fails it."""
+    ch = channel.amplitude_damping(0.5)
+    eigh = numkit.eigh
+
+    def turned(m):
+        w, v = eigh(m)
+        v = v.copy()
+        v[:, -1] = np.cos(1e-3) * v[:, -1] + np.sin(1e-3) * v[:, -2]
+        return w, v
+
+    monkeypatch.setattr(numkit, "eigh", turned)
+    with pytest.raises(RuntimeError, match="direct evaluation"):
+        qubit.max_entanglement_fidelity(ch)
