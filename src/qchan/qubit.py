@@ -20,6 +20,7 @@ from .numkit import PAULIS, SX, SY, SZ
 _PAULI_VEC = PAULIS.reshape(4, 4).T  # columns vec(sigma_i); inverse: adj / 2
 _FILTER_TOL = 1e-8  # relative residual of a filter's rebuilt Lorentz matrix
 _TIE_TOL = 1e-7  # relative gap of tied eigenvalues of eta r^T eta r
+_REBUILD_TOL = 1e-6  # a filtering normal form's rebuild of r, times its scale
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
 # spin flip sigma_y (x) sigma_y; real
 SFLIP = np.kron(SY, SY).real.astype(float)
@@ -235,8 +236,8 @@ def lu_normal_form(ch):
     lambdas = (float(s[0]), float(s[1]), float(s[2]))
     shift = tuple(float(x) for x in t1)
     form = LuNormalForm(lambdas, shift, u_in, u_out)
-    conj = channel.Channel([u_out @ k @ u_in for k in ch.kraus])
-    if np.abs(ptm(conj).r - form.canonical_r()).max() > 1e-9:
+    conj = _pauli_action(u_out @ np.asarray(ch.kraus) @ u_in)
+    if np.abs(conj - form.canonical_r()).max() > 1e-9:
         raise RuntimeError("normal-form reconstruction failed")
     return form
 
@@ -279,25 +280,39 @@ class SloccNormalForm:
 
 
 def _eta_complete(cols):
-    """Extend eta-orthonormal spacelike-deficient columns to a full frame.
+    """Eta-orthonormalize columns, the first timelike and the rest
+    spacelike, and extend them to a full frame from the coordinate axes.
 
-    Returns None when the coordinate axes cannot complete it.
+    Gram-Schmidt in the eta metric keeps the frame a Lorentz matrix to
+    rounding when the columns are only nearly orthonormal; a degenerate
+    column is skipped. Returns None when the axes cannot complete it.
     """
-    basis = list(cols)
-    signs = [1.0] + [-1.0] * (len(cols) - 1)
-    for cand in np.eye(4):
+    basis, signs = [], []
+    for u in list(cols) + list(np.eye(4)):
         if len(basis) == 4:
             break
-        u = cand.copy()
         for s, b in zip(signs, basis):
             u = u - s * (b @ ETA @ u) * b
-        nrm = u @ ETA @ u
-        if nrm < -1e-10:
-            basis.append(u / np.sqrt(-nrm))
-            signs.append(-1.0)
+        sign = -1.0 if basis else 1.0
+        nrm = sign * (u @ ETA @ u)
+        if nrm > 1e-10:
+            basis.append(u / np.sqrt(nrm))
+            signs.append(sign)
     if len(basis) < 4:
         return None
     return np.stack(basis, axis=1)
+
+
+def _slocc_point(r):
+    """The Point form of r, if it sends every state to one pure state."""
+    t = r[1:, 0]
+    if np.abs(r[1:, 1:]).max() > 1e-8 or abs(np.linalg.norm(t) - 1) > 1e-8:
+        return None
+    psi = numkit.eigh(numkit.bloch_state(t / np.linalg.norm(t)))[1][:, -1]
+    perp = numkit.svd(psi.reshape(1, 2).conj())[2][:, 1]
+    b = np.stack([psi, perp], axis=1)
+    b = b / np.sqrt(np.linalg.det(b))
+    return SloccNormalForm("Point", np.eye(2, dtype=complex), b, 1.0)
 
 
 def _slocc_generic(r):
@@ -308,13 +323,15 @@ def _slocc_generic(r):
     eigenvalues equal within _TIE_TOL spans the real part of its
     eigenspace, [Re v, Im v] (eig may return complex vectors inside a
     degenerate real eigenspace), and is eta-orthonormalized through its
-    real Gram matrix. Fails (returns None) whenever the spectrum is
-    complex, a group Gram is degenerate (defective M), or the signature
-    is not (+,-,-,-).
+    real Gram matrix. Eigenvalue cuts are relative to the Lorentz scale,
+    the largest |eigenvalue| of M, and singular-value cuts to its square
+    root. Fails (returns None) whenever the spectrum is complex, a group
+    Gram is degenerate (defective M), or the signature is not (+,-,-,-);
+    the caller checks the rebuild.
     """
     m = ETA @ r.T @ ETA @ r
     w, v = np.linalg.eig(m)
-    scale = max(np.abs(w).max(), 1.0)
+    scale = np.abs(w).max()
     if np.abs(w.imag).max() > 1e-9 * scale:
         return None
     w = w.real
@@ -335,10 +352,14 @@ def _slocc_generic(r):
         gw, gp = np.linalg.eigh(gram)
         if np.abs(gw).min() < 1e-9:
             return None
-        basis = vg @ gp
-        for i in range(len(grp)):
-            cols.append(basis[:, i] / np.sqrt(abs(gw[i])))
-            norms.append(np.sign(gw[i]))
+        basis = vg @ gp / np.sqrt(np.abs(gw))
+        if len(grp) > 1 and gw.max() < 0:
+            # eigenvalues tied within the cut can still differ: turn a
+            # spacelike group onto the singular directions of r within it
+            wg = r @ basis
+            basis = basis @ np.linalg.eigh(wg.T @ ETA @ wg)[1]
+        cols.extend(basis.T)
+        norms.extend(np.sign(gw))
         k = grp[-1] + 1
     norms = np.array(norms)
     if np.count_nonzero(norms > 0) != 1:
@@ -349,11 +370,9 @@ def _slocc_generic(r):
     if kmat[0, 0] < 0:
         kmat[:, 0] *= -1
     wmat = r @ kmat
-    sig = np.zeros(4)
-    sig[0] = np.sqrt(max(wmat[:, 0] @ ETA @ wmat[:, 0], 0.0))
-    for i in (1, 2, 3):
-        sig[i] = np.sqrt(max(-(wmat[:, i] @ ETA @ wmat[:, i]), 0.0))
-    if sig[0] < 1e-10:
+    sig = np.sqrt(np.maximum(np.diag(ETA) * np.diag(wmat.T @ ETA @ wmat),
+                             0.0))
+    if sig[0] <= 1e-10 * np.sqrt(scale):
         return None
     # sort the spacelike columns by singular value
     sp = 1 + np.argsort(-sig[1:])
@@ -362,12 +381,11 @@ def _slocc_generic(r):
     sig = sig[[0] + list(sp)]
     l1_cols = []
     for i in range(4):
-        if sig[i] > 1e-9:
+        if sig[i] > 1e-9 * np.sqrt(scale):
             l1_cols.append(wmat[:, i] / sig[i])
         else:
             sig[i] = 0.0
-    l1 = _eta_complete(l1_cols) if len(l1_cols) < 4 else \
-        np.stack(l1_cols, axis=1)
+    l1 = _eta_complete(l1_cols)
     if l1 is None:
         return None
     l2 = ETA @ kmat @ ETA
@@ -377,20 +395,14 @@ def _slocc_generic(r):
     if np.linalg.det(l2) < 0:
         l2[:, 3] *= -1
         sig[3] *= -1
-    dd = np.diag(sig)
-    if np.abs(l1 @ dd @ l2.T - r).max() > 1e-6:
-        return None
     try:
         a = sl2_from_lorentz(l2.T)
         b = sl2_from_lorentz(l1)
     except ValueError:
         return None
     s = sig[1:] / sig[0]
-    form = SloccNormalForm("Generic", a, b, float(sig[0]),
+    return SloccNormalForm("Generic", a, b, float(sig[0]),
                            s=tuple(float(x) for x in s))
-    if np.abs(form.reconstructed_r() - r).max() > 1e-6:
-        return None
-    return form
 
 
 def _slocc_nongeneric(r):
@@ -403,13 +415,11 @@ def _slocc_nongeneric(r):
     eigenvalue nu, whose eigenspace is eta span(p1, p2). nu is the mean of
     the eigenvalue pair that leaves S - nu eta of rank two and mu the mean
     of the other pair (a defective eigenvalue alone is only good to
-    sqrt(eps)). S - mu eta is rank one at x = 1, and the symmetric test
-    of that is sharper than the eigenvalues: x = 1 is tried first when
-    the rank ratio is below 1e-7, second up to 1e-5. The first frame
-    that rebuilds r to 1e-6 wins; if none does (1 - x near 1e-7, where
-    both tests blur, or filters so ill conditioned that rounding in the
-    frame alone exceeds 1e-6), Gauss-Newton steps refine the frames in
-    the same order. Returns the form or None.
+    sqrt(eps)). Both frames are built, from the eigenvalue pairs and at
+    x = 1 (all four eigenvalues at their mean), and the one that rebuilds
+    r better is kept. Near x = 1, or under ill-conditioned filters, both
+    can blur: only when the better one misses r by more than 1e-10 do
+    Gauss-Newton steps polish both. Returns the form, unchecked, or None.
     """
     s = r.T @ ETA @ r
     w = np.linalg.eigvals(ETA @ s)
@@ -417,30 +427,20 @@ def _slocc_nongeneric(r):
     # rounding splits the defective mu by up to sqrt(eps), or not at all,
     # so neither order nor closeness pairs the eigenvalues; but S - nu eta
     # has rank two and S - mu eta rank three
-    nu = min(((w[i] + w[j]).real / 2
-              for i, j in itertools.combinations(range(4), 2)),
-             key=lambda lam: np.sort(np.abs(
-                 np.linalg.eigvalsh(s - lam * ETA)))[1])
-    mu = 2 * half - nu
-    # at x = 1, S - mu eta is rank one; its symmetric spectrum tells that
-    # apart to rounding, where the eigenvalues of M only reach sqrt(eps)
-    kw = np.linalg.eigvalsh(s - half * ETA)
-    if mu <= 1e-12 or kw[3] <= 0:
-        return None
-    ratio = np.abs(kw[:3]).max() / kw[3]
-    cands = [(half, True), (mu, False)][:1 if nu >= mu else 2]
-    if ratio > 1e-7:
-        cands = cands[::-1][:1 if ratio > 1e-5 else 2]
-    forms = [f for f in (_nongeneric_frame(r, s, *c) for c in cands)
+    lams = np.array([(w[i] + w[j]).real / 2
+                     for i, j in itertools.combinations(range(4), 2)])
+    nu = lams[np.argmin(np.sort(np.abs(np.linalg.eigvalsh(
+        s - lams[:, None, None] * ETA)), axis=1)[:, 1])]
+    forms = [f for f in (_nongeneric_frame(r, s, half, True),
+                         _nongeneric_frame(r, s, 2 * half - nu, False))
              if f is not None]
-    for form in forms:
-        if np.abs(form.reconstructed_r() - r).max() <= 1e-6:
-            return form
-    for form in forms:
-        form = _refine_nongeneric(r, form)
-        if form is not None:
-            return form
-    return None
+    if not forms:
+        return None
+    misses = [_rebuild_miss(f, r) for f in forms]
+    if min(misses) > 1e-10:
+        forms = [_polish_frame(r, f) for f in forms]
+        misses = [_rebuild_miss(f, r) for f in forms]
+    return forms[int(np.argmin(misses))]
 
 
 def _nongeneric_frame(r, s, mu, unit_x):
@@ -455,6 +455,8 @@ def _nongeneric_frame(r, s, mu, unit_x):
     or from an eta-completion when x is too small to invert. Returns the
     unchecked form, or None.
     """
+    if mu <= 1e-12:
+        return None
     scale = np.sqrt(3 * mu)
     kw, kv = np.linalg.eigh(s - mu * ETA)
     x = 1.0
@@ -486,7 +488,9 @@ def _nongeneric_frame(r, s, mu, unit_x):
     rl = r @ ETA @ fa @ ETA / scale
     b3 = 3 * rl[:, 3]
     b0 = rl[:, 0] - 2 * rl[:, 3]
-    if x >= 1e-6:
+    # the completion drops O(x) terms and the inversion amplifies rounding
+    # by 1/x; the two errors cross at x = sqrt(eps)
+    if x >= np.sqrt(np.finfo(float).eps):
         fb = np.stack([b0, rl[:, 1], rl[:, 2], b3], axis=1)
         fb[:, 1:3] *= np.sqrt(3) / x
     else:
@@ -504,22 +508,21 @@ def _nongeneric_frame(r, s, mu, unit_x):
         return None
 
 
-def _refine_nongeneric(r, form):
+def _polish_frame(r, form):
     """Gauss-Newton steps on r - L(b) T(x) L(a), from the given form.
 
     The filters carry the scale (each times scale^(1/4)) and x stays in
     [0, 1]; the Jacobian is analytic and the steps are minimum-norm
     least-squares solutions, since the template's symmetries leave it
-    rank deficient. Steps stop when the residual stops falling. Returns
-    the normalized form, or None if the result misses the 1e-6
-    reconstruction check.
+    rank deficient. Steps stop when the residual stops falling; a form
+    that takes no step comes back unchanged. Returns the normalized form.
     """
     k = form.scale ** 0.25
     fit = SloccNormalForm("NonGeneric", k * form.a, k * form.b, 1.0,
                           x=form.x)
     dt = np.diag([0.0, 1.0, 1.0, 0.0]) / np.sqrt(3)
     res = fit.reconstructed_r() - r
-    for _ in range(50):
+    for steps in range(50):
         la, lb = lorentz_from_sl2(fit.a), lorentz_from_sl2(fit.b)
         t = fit.template_r()
         jac = np.concatenate(
@@ -535,48 +538,38 @@ def _refine_nongeneric(r, form):
         if np.linalg.norm(trial_res) >= np.linalg.norm(res):
             break
         fit, res = trial, trial_res
+    if steps == 0:
+        return form
     da, db = np.linalg.det(fit.a), np.linalg.det(fit.b)
-    if abs(da) < 1e-6 or abs(db) < 1e-6:
-        return None
-    form = SloccNormalForm("NonGeneric", fit.a / np.sqrt(da),
+    return SloccNormalForm("NonGeneric", fit.a / np.sqrt(da),
                            fit.b / np.sqrt(db), float(abs(da) * abs(db)),
                            x=fit.x)
-    if np.abs(form.reconstructed_r() - r).max() <= 1e-6:
-        return form
-    return None
+
+
+def _rebuild_miss(form, r):
+    """Largest entry of the form's rebuilt r minus r."""
+    return np.abs(form.reconstructed_r() - r).max()
 
 
 def slocc_normal_form(ch):
     """Classify a qubit channel under invertible filterings.
 
-    Point is checked first (zero distortion, pure fixed output); then the
+    Point is tried first (zero distortion, pure fixed output); then the
     Lorentz diagonalization (generic family); then the sphere-touching
     template, built from the Jordan structure of r^T eta r. Each answer is
     constructed, with no seed and no search (a non-generic frame that
-    rounding blurs is refined by Gauss-Newton steps from where it
-    stands), then verified by rebuilding r to 1e-6. A channel fitting
-    none of the three raises, since every qubit
-    channel should land somewhere and a miss means the input deserves a
-    look.
+    rounding blurs is polished by Gauss-Newton steps from where it
+    stands); the first that rebuilds r within _REBUILD_TOL times its
+    scale wins. Every qubit channel should land somewhere, so a channel
+    fitting none of the three raises.
     """
     _require_qubit_tp(ch)
-    p = ptm(ch)
-    r = p.r
-    if np.abs(p.lam).max() <= 1e-8 and abs(np.linalg.norm(p.t) - 1) <= 1e-8:
-        w, v = numkit.eigh(numkit.bloch_state(p.t / np.linalg.norm(p.t)))
-        psi = v[:, -1]
-        perp = numkit.svd(psi.reshape(1, 2).conj())[2][:, 1]
-        b = np.stack([psi, perp], axis=1)
-        b = b / np.sqrt(np.linalg.det(b))
-        form = SloccNormalForm("Point", np.eye(2, dtype=complex), b, 1.0)
-        if np.abs(form.reconstructed_r() - r).max() <= 1e-6:
+    r = ptm(ch).r
+    for build in (_slocc_point, _slocc_generic, _slocc_nongeneric):
+        form = build(r)
+        if form is not None and (_rebuild_miss(form, r)
+                                 <= _REBUILD_TOL * form.scale):
             return form
-    form = _slocc_generic(r)
-    if form is not None:
-        return form
-    form = _slocc_nongeneric(r)
-    if form is not None:
-        return form
     raise RuntimeError("channel fits no filtering normal form within "
                        "tolerance; not classifiable here")
 
