@@ -114,8 +114,7 @@ def quantum_capacity_rank2_unital(ch):
         raise ValueError("channel is not unital; formula does not apply")
     if channel.rank(ch) > 2:
         raise ValueError("channel rank exceeds 2; formula does not apply")
-    p = float(numkit.eigh(ch.jam)[0][-1])
-    return 1.0 - binary_entropy(min(p, 1.0))
+    return 1.0 - binary_entropy(ch.choi_eigh[0][-1] / ch.choi_trace)
 
 
 # --- the Bloch sphere toolkit of both certified solvers ----------------------
@@ -563,19 +562,17 @@ def chi_given_average(ch, rho_avg):
     S(out of rho_avg) - f(C). Unitary channels give f = 0.
     """
     qubit._require_qubit_tp(ch)
-    rho_avg = numkit.require_density(rho_avg, 2)[0]
-    ks = channel.kraus_from_choi(ch.choi)
+    rho_avg, w, v = numkit.require_density(rho_avg, 2)
+    ks = channel.minimal_kraus(ch)
     if len(ks) == 1:
         cval = 0.0
     elif len(ks) == 2:
         if not extremal.is_extremal_tp(ch):
             raise ValueError("rank-2 channel is not extremal; the "
                              "closed form does not apply")
-        x = numkit.sqrt_psd(rho_avg, tol=1e-13)
+        x = numkit.psd_factor(w, v, tol=1e-13)
         tau = x.T @ _channel_concurrence_pair(ks[0], ks[1]) @ x
-        sig = numkit.svd(tau)[1]
-        sig = np.concatenate([sig, np.zeros(2)])[:2]
-        cval = float(min(max(sig[0] - sig[1], 0.0), 1.0))
+        cval = qubit._concurrence_of(numkit.svd(tau)[1])
     else:
         raise ValueError("channel rank exceeds 2")
     f = binary_entropy((1 + np.sqrt(max(1 - cval * cval, 0.0))) / 2)

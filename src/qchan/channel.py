@@ -4,11 +4,12 @@ A Channel stores its Kraus operators together with the unnormalized Choi
 matrix (block (i,j) holds the image of |i><j|, trace n for a
 trace-preserving map) and the normalized Jamiolkowski state jam = choi/n.
 The unnormalized matrix carries the block structure and the dual-action
-formula; every eigenvalue, fidelity or separability statement reads off
-jam. Hermitian-preserving maps that are not CP get a signed Kraus form
-instead, with real weights of either sign.
+formula; Channel.choi_eigh is its one factorization, which the rank,
+minimal_kraus and jam's spectrum read. Hermitian-preserving maps that
+are not CP get a signed Kraus form, with real weights of either sign.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -34,6 +35,7 @@ class Channel:
     Values are immutable after construction. The Choi matrix of any Kraus
     list is Hermitian and PSD by construction, so only shape, a positive
     trace and (optionally) trace preservation, within TP_TOL, are checked.
+    choi_eigh, made on first read, is the one factorization of choi.
     """
 
     def __init__(self, kraus, require_tp=False):
@@ -48,7 +50,7 @@ class Channel:
         self.dim = n
         self.kraus = ops
         self.choi = choi_matrix(ops)
-        tr = np.trace(self.choi).real
+        self.choi_trace = tr = np.trace(self.choi).real
         if tr <= 0:
             raise ValueError("Choi matrix has nonpositive trace")
         self.jam = self.choi / tr
@@ -61,12 +63,19 @@ class Channel:
             raise ValueError("Kraus operators do not preserve the trace "
                              "(deviation %.3e)" % self.tp_deviation)
 
+    @functools.cached_property
+    def choi_eigh(self):
+        """(w, v), w ascending, read-only; jam's is (w / choi_trace, v)."""
+        w, v = numkit.eigh(self.choi)
+        w.flags.writeable = v.flags.writeable = False
+        return w, v
+
     def __call__(self, rho):
         return apply(self, rho)
 
 
 def kraus_from_choi(c):
-    """Minimal Kraus list from a Choi matrix.
+    """Minimal Kraus list of a raw Choi matrix (a Channel's: minimal_kraus).
 
     The operators are the reshaped columns of numkit.sqrt_psd, rescaled
     eigenvectors, hence pairwise orthogonal in the Hilbert-Schmidt inner
@@ -75,6 +84,12 @@ def kraus_from_choi(c):
     """
     n = math.isqrt(len(c))
     return [x.reshape(n, n).T for x in numkit.sqrt_psd(c).T]
+
+
+def minimal_kraus(ch):
+    """kraus_from_choi(ch.choi), read off Channel.choi_eigh."""
+    n = ch.dim
+    return [x.reshape(n, n).T for x in numkit.psd_factor(*ch.choi_eigh).T]
 
 
 def apply(ch, rho):
@@ -122,7 +137,7 @@ def is_unital(ch):
 
 def rank(ch, tol=numkit.PSD_TOL):
     """Rank of the map: the rank of its Choi matrix."""
-    w = numkit.eigh(ch.choi)[0]
+    w = ch.choi_eigh[0]
     return int(np.count_nonzero(w > tol * max(w.max(), 1.0)))
 
 
@@ -280,17 +295,10 @@ def completely_depolarizing(n=2):
 
 def replacer(rho2):
     """Send every input to the fixed state rho2 (times the input trace)."""
-    rho2 = numkit.require_density(rho2)[0]
-    n = rho2.shape[0]
-    w, v = numkit.eigh(rho2)
-    ops = []
-    for k in range(n):
-        if w[k] > 1e-12:
-            for i in range(n):
-                op = np.sqrt(w[k]) * np.outer(v[:, k],
-                                              np.eye(n)[i].astype(complex))
-                ops.append(op)
-    return Channel(ops)
+    rho2, w, v = numkit.require_density(rho2)
+    x = numkit.psd_factor(w, v, tol=1e-12)
+    return Channel([np.outer(col, e) for col in x.T
+                    for e in np.eye(len(rho2), dtype=complex)])
 
 
 def transpose_map(n=2):

@@ -49,42 +49,37 @@ def _encode_matrix(m):
     return m.view(float).reshape(m.shape + (2,)).tolist()
 
 
-def _decode_entry(v, where):
-    try:
-        if isinstance(v, (int, float)) and not isinstance(v, bool):
-            return complex(v)
-        if (isinstance(v, list) and len(v) == 2
-                and all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                        for x in v)):
-            return complex(v[0], v[1])
-    except OverflowError:  # an integer beyond the float range
-        raise ChannelFileError("%s: not a finite number" % where)
-    raise ChannelFileError("%s: expected a number or [re, im] pair, got %r"
-                           % (where, v))
-
-
 def _decode_matrix(rows, where):
+    """A complex matrix from rows of numbers and [re, im] pairs: one pass
+    over the rows checks widths and entry types, one np.array call builds
+    it, and entries are walked only to name a field that fails a check."""
     if not isinstance(rows, list) or not rows:
         raise ChannelFileError("%s: expected a non-empty list of rows" % where)
-    out = []
-    width = None
+    pairs = []
     for i, row in enumerate(rows):
         if not isinstance(row, list):
             raise ChannelFileError("%s: row %d is not a list" % (where, i))
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
+        if len(row) != len(rows[0]):
             raise ChannelFileError("%s: row %d has length %d, expected %d"
-                                   % (where, i, len(row), width))
-        out.append([_decode_entry(v, "%s[%d][%d]" % (where, i, j))
-                    for j, v in enumerate(row)])
-    mat = np.array(out, dtype=complex)
-    finite = np.isfinite(mat)
+                                   % (where, i, len(row), len(rows[0])))
+        pairs.append([v if type(v) is list and len(v) == 2 else [v, 0]
+                      for v in row])
+        if not {type(x) for pair in pairs[-1] for x in pair} <= {int, float}:
+            j = next(j for j, pair in enumerate(pairs[-1])
+                     if not {type(x) for x in pair} <= {int, float})
+            raise ChannelFileError("%s[%d][%d]: expected a number or [re, im] "
+                                   "pair, got %r" % (where, i, j, row[j]))
+    try:
+        mat = np.array(pairs, dtype=float).reshape(len(rows), -1, 2)
+    except OverflowError:  # float() refuses integers from 2^1024 - 2^970
+        mat = np.array([[[x if abs(x) < 2 ** 1024 - 2 ** 970 else np.inf
+                          for x in pair] for pair in row] for row in pairs])
+    finite = np.isfinite(mat).all(axis=2)
     if not finite.all():
         i, j = np.argwhere(~finite)[0]
         raise ChannelFileError("%s[%d][%d]: not a finite number"
                                % (where, i, j))
-    return mat
+    return mat.view(complex)[..., 0]
 
 
 # --- channel files ----------------------------------------------------------
@@ -313,9 +308,9 @@ def _run_analysis(name, ch, flags):
     (RuntimeError) propagate."""
     try:
         if name == "choi":
-            jam_w = np.linalg.eigvalsh(ch.jam)
             return {"matrix": _encode_matrix(ch.choi),
-                    "jam_eigenvalues": jam_w.tolist()}
+                    "jam_eigenvalues":
+                        (ch.choi_eigh[0] / ch.choi_trace).tolist()}
         if name == "extremality":
             return {"extremal": bool(extremal.is_extremal_tp(ch)),
                     "method": "kraus-product rank test"}
@@ -323,7 +318,7 @@ def _run_analysis(name, ch, flags):
             return {"entanglement_breaking":
                         bool(qubit.is_entanglement_breaking(ch, flags.tol)),
                     "can_distribute":
-                        bool(qubit.can_distribute_entanglement(ch)),
+                        qubit.max_entanglement_fidelity(ch)[0] > 0.5 + 1e-12,
                     "method": "dual-state partial transpose"}
         if name == "normal_forms":
             lu = qubit.lu_normal_form(ch)

@@ -22,12 +22,10 @@ class AlreadyExtremalError(ValueError):
 
 
 def _minimal_kraus(ch):
-    # extremality statements assume a TP channel and a linearly
-    # independent Kraus set; re-derive one from the Choi matrix
-    # regardless of how ch was built
+    # extremality assumes TP and independent Kraus operators: the Choi's
     if not channel.is_tp(ch):
         raise ValueError("channel is not trace-preserving")
-    return channel.kraus_from_choi(ch.choi)
+    return channel.minimal_kraus(ch)
 
 
 def _directions(ch):
@@ -74,12 +72,13 @@ def _perturbation(ks, tol=_NULL_TOL, rho1=None):
     With rho1 given, Q must also annihilate sum_jk Q_jk A_j rho1 A_k^dag,
     the doubled family of is_extremal_constrained.
 
-    The null space comes from an SVD of the map itself, as a Gram matrix
-    would square the conditioning. Its elements are Frobenius-orthonormal,
-    so least off-diagonal mass is most diagonal mass: the top singular
-    vector of their diagonals, which lead the Hermitian basis of
-    numkit.hermitian_coords, picks Q. The sign decides which side of a
-    split comes first.
+    A thin SVD of the map itself (a Gram matrix would square the
+    conditioning), from Q's coordinates in numkit.hermitian_coords
+    (diagonal units first) to its images, gives the null projector
+    P = I - U U^T. Least off-diagonal mass is most diagonal mass: P d, d
+    the top eigenvector of P's diagonal block or, with no diagonal mass
+    above tol, the basis element of largest P_bb. The sign decides which
+    side of a split comes first.
     """
     m = len(ks)
     # row b: the image of basis element b, real and imaginary parts
@@ -88,12 +87,15 @@ def _perturbation(ks, tol=_NULL_TOL, rho1=None):
         prods = np.concatenate([prods, np.einsum(
             "kxa,ab,jyb->jkxy", ks, rho1, ks.conj())], axis=3)
     out = numkit.hermitian_coords(prods).reshape(m * m, -1)
-    u, s = np.linalg.svd(np.concatenate([out.real, out.imag], axis=1))[:2]
-    null = u[:, np.count_nonzero(s > tol * s[0]):]
-    if not null.shape[1]:
+    u, s = np.linalg.svd(np.concatenate([out.real, out.imag], axis=1),
+                         full_matrices=False)[:2]
+    u = u[:, :np.count_nonzero(s > tol * s[0])]
+    if u.shape[1] == m * m:
         return None
-    c = np.linalg.svd(null[:m], full_matrices=False)[2][0]
-    q = numkit.hermitian_from_coords(null @ c)
+    w, e = np.linalg.eigh(np.eye(m) - u[:m] @ u[:m].T)
+    d = (np.concatenate([e[:, -1], np.zeros(m * m - m)]) if w[-1] > tol
+         else np.eye(m * m)[np.argmin(np.einsum("bi,bi->b", u, u))])
+    q = numkit.hermitian_from_coords(d - u @ (u.T @ d))
     # drop float fuzz so that Q is Hermitian to the last bit
     q = (q + q.conj().T) / (2 * np.linalg.norm(q))
     w = np.linalg.eigvalsh(q)
@@ -108,12 +110,7 @@ def find_perturbation(ch):
     follow the Choi eigenstructure whenever they can), written for the
     A_i and normalized to unit Frobenius norm.
     """
-    return _kraus_perturbation(*_directions(ch))
-
-
-def _kraus_perturbation(v, norms):
-    """_perturbation of the directions v written for the Kraus operators
-    norms_i v_i, at unit Frobenius norm, or None."""
+    v, norms = _directions(ch)
     q = _perturbation(v)
     if q is None:
         return None
@@ -186,7 +183,7 @@ def split_extremal(ch):
     which mix back with weight s_+ / (s_+ + s_-); both have rank < m.
     """
     v, norms = _directions(ch)
-    q = _kraus_perturbation(v, norms)
+    q = find_perturbation(ch)
     if q is None:
         raise AlreadyExtremalError("channel is extremal, nothing to split")
     left, s_minus = _face_step(np.diag(norms), *numkit.eigh(-q))
@@ -245,10 +242,10 @@ def _singular_combination(ks):
         mat = np.tensordot(c, ks, 1)
         return np.linalg.svd(mat, compute_uv=False)[-1] / np.linalg.norm(c)
 
-    best = min(cands, key=score)
-    if score(best) > 1e-7:
+    low, k = min((score(c), k) for k, c in enumerate(cands))
+    if low > 1e-7:
         raise RuntimeError("no singular combination of the operators found")
-    return best
+    return cands[k]
 
 
 def _kernel_complement(ks):

@@ -2,7 +2,8 @@
 
 Matrices are plain numpy arrays (complex128). Everything here is a pure
 function; eigenvalues come back ascending, singular values descending,
-and all factorizations are residual-checked against their inputs.
+and all factorizations are residual-checked against their inputs and
+passed on, not redone; a channel's dual state is factored by Channel.
 """
 
 import math
@@ -118,7 +119,7 @@ def require_hermitian(m):
 
 
 def require_density(rho, dim=None):
-    """Validate a density matrix; return it with its eigenvalues.
+    """Validate a density matrix; return it with its eigh, (rho, w, v).
 
     rho must be of shape dim x dim when dim is given, Hermitian (eigh's
     require_hermitian), PSD (psd_floor) and of trace 1 within 1e-9.
@@ -126,10 +127,10 @@ def require_density(rho, dim=None):
     rho = np.asarray(rho, dtype=complex)
     if dim is not None and rho.shape != (dim, dim):
         raise ValueError("expected a %dx%d density matrix" % (dim, dim))
-    w = eigh(rho)[0]
+    w, v = eigh(rho)
     if w[0] < -psd_floor(w) or abs(w.sum() - 1) > 1e-9:
         raise ValueError("input is not a density matrix")
-    return rho, w
+    return rho, w, v
 
 
 def eigh(m):
@@ -142,7 +143,7 @@ def eigh(m):
     m = require_hermitian(m)
     w, v = np.linalg.eigh(m)
     scale = max(np.abs(w).max(), 1.0)
-    if np.abs(v @ np.diag(w) @ v.conj().T - m).max() > 1e-10 * scale:
+    if np.abs((v * w) @ v.conj().T - m).max() > 1e-10 * scale:
         raise ArithmeticError("eigh reconstruction residual too large")
     return w, v
 
@@ -223,14 +224,18 @@ def psd_floor(w):
     return PSD_TOL * max(w[-1], 1.0)
 
 
-def sqrt_psd(m, tol=None):
-    """Square root factor X of a PSD matrix: m = X X^dag.
+def sqrt_psd(m):
+    """Square root factor X of a PSD matrix, m = X X^dag (psd_factor)."""
+    return psd_factor(*eigh(m))
+
+
+def psd_factor(w, v, tol=None):
+    """Square root factor X of a PSD matrix from its eigh (w ascending, v).
 
     Columns are sqrt(w_i) * v_i for eigenvalues above the rank threshold
     tol, psd_floor by default, so the column count equals the numerical
     rank. An eigenvalue below -psd_floor raises, whatever tol.
     """
-    w, v = eigh(m)
     floor = psd_floor(w)
     if w[0] < -floor:
         raise ValueError("matrix is not positive semidefinite "

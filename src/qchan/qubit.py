@@ -650,7 +650,7 @@ def extremal_form_of(ch):
     must match to 1e-9.
     """
     _require_qubit_tp(ch)
-    ks = channel.kraus_from_choi(ch.choi)
+    ks = channel.minimal_kraus(ch)
     if len(ks) > 2:
         raise ValueError("channel has rank %d > 2" % len(ks))
     if len(ks) == 1:
@@ -681,8 +681,7 @@ def concurrence(rho):
     Computed from the singular values of X^T (sy x sy) X with X a square
     root of rho: C = max(0, sig1 - sig2 - sig3 - sig4).
     """
-    rho = numkit.require_density(rho, 4)[0]
-    x = numkit.sqrt_psd(rho, tol=1e-13)
+    x = numkit.psd_factor(*numkit.require_density(rho, 4)[1:], tol=1e-13)
     return _concurrence_of(numkit.svd(x.T @ SFLIP @ x)[1])
 
 
@@ -796,8 +795,12 @@ def equal_concurrence_decomposition(rho):
     case) or closing phases plus a Hadamard frame (separable case, where
     rank 3 is handled by zero-padding to the 4x4 Hadamard).
     """
-    rho = numkit.require_density(rho, 4)[0]
-    x = numkit.sqrt_psd(rho, tol=1e-13)
+    return _equal_concurrence(
+        numkit.psd_factor(*numkit.require_density(rho, 4)[1:], tol=1e-13))
+
+
+def _equal_concurrence(x):
+    """equal_concurrence_decomposition of the state x x^dag."""
     r = x.shape[1]
     v, sig = numkit.takagi(x.T @ SFLIP @ x)
     xp = x @ v.conj()
@@ -841,7 +844,9 @@ def kraus_contraction_form(ch):
     assembled channel is verified against the source action.
     """
     _require_qubit_tp(ch)
-    dec = equal_concurrence_decomposition(ch.jam)
+    w, v = ch.choi_eigh
+    dec = _equal_concurrence(numkit.psd_factor(w / ch.choi_trace, v,
+                                               tol=1e-13))
     cval = dec.c
     core = 0.5 * np.diag([np.sqrt(1 + cval) + np.sqrt(1 - cval),
                           np.sqrt(1 + cval) - np.sqrt(1 - cval)])
@@ -878,27 +883,18 @@ def is_entanglement_breaking(ch, tol=numkit.PSD_TOL):
     return bool(ptmin >= -max(tol, numkit.PSD_TOL))
 
 
-def can_distribute_entanglement(ch):
-    """Whether any input can push entanglement through the channel.
-
-    True exactly when the largest dual-state eigenvalue exceeds 1/2.
-    """
-    _require_qubit_tp(ch)
-    return float(numkit.eigh(ch.jam)[0][-1]) > 0.5 + 1e-12
-
-
 def max_entanglement_fidelity(ch):
     """Best overlap with the maximally entangled state across one side.
 
-    The value is the largest eigenvalue of the dual state; the achieving
-    input is the swap-conjugate of its eigenvector. The pair is verified
-    by direct evaluation before returning.
+    The value is the top dual-state eigenvalue (above 1/2 exactly when
+    entanglement can pass); the achieving input is the swap-conjugate of
+    its eigenvector. The pair is checked by direct evaluation.
     """
     if not channel.is_tp(ch):
         raise ValueError("channel is not trace-preserving")
     n = ch.dim
-    w, v = numkit.eigh(ch.jam)
-    f = float(w[-1])
+    w, v = ch.choi_eigh
+    f = float(w[-1] / ch.choi_trace)
     # the swap of the two factors
     chi = v[:, -1].conj().reshape(n, n).T.reshape(-1)
     # sum_k |<phi|(I x A_k)|chi>|^2 with phi = vec(I) / sqrt(n): each

@@ -56,3 +56,19 @@ def filtered_tp(ch, a, b):
     w, v = np.linalg.eigh(s)
     s_inv_half = (v / np.sqrt(w)) @ v.conj().T
     return channel.Channel([k @ s_inv_half for k in ks], require_tp=True)
+
+
+def count_choi_factorizations(monkeypatch, choi):
+    """Patch numpy's Hermitian eigensolvers to record each call whose
+    matrix is choi up to scale; returns the list of recorded calls."""
+    target = choi / np.trace(choi)
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        def counted(a, *args, solve=getattr(np.linalg, name), **kwargs):
+            m = np.asarray(a)
+            if m.shape == target.shape and abs(np.trace(m)) > 0 \
+                    and np.abs(m / np.trace(m) - target).max() < 1e-12:
+                calls.append(solve.__name__)
+            return solve(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls

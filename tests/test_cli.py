@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qchan import capacity, channel, cli, extremal
-from conftest import random_density
+from conftest import count_choi_factorizations, random_density
 
 
 def write_doc(tmp_path, name, doc):
@@ -44,11 +44,12 @@ def test_load_kraus_and_choi_files(tmp_path):
 
 
 def test_load_plain_real_entries(tmp_path):
-    # plain numbers are accepted wherever [re, im] pairs are
-    doc = {"kraus": [[[1, 0], [0, 1]]]}
-    path = write_doc(tmp_path, "id.json", doc)
-    ch, _ = cli.load_channel_file(path)
-    assert np.abs(ch.choi - channel.identity(2).choi).max() < 1e-12
+    # plain numbers are accepted wherever [re, im] pairs are, also
+    # mixed with them in one matrix
+    for rows in ([[1, 0], [0, 1]], [[[1, 0], 0], [0, [1.0, 0]]]):
+        path = write_doc(tmp_path, "id.json", {"kraus": [rows]})
+        ch, _ = cli.load_channel_file(path)
+        assert np.abs(ch.choi - channel.identity(2).choi).max() < 1e-12
 
 
 # json.load reads NaN and Infinity; each file names its first bad field
@@ -227,6 +228,22 @@ def test_analyze_reports_one_rank(tmp_path, capsys):
         report = json.loads(capsys.readouterr().out)
         assert report["summary"]["rank"] == expect
         assert report["results"]["rank"]["value"] == expect
+
+
+@pytest.mark.parametrize("doc", [{"builder": "depolarizing", "p": 0.5},
+                                 {"builder": "phase_flip", "p": 0.3}],
+                         ids=["depolarizing", "phase_flip"])
+def test_one_factorization_of_the_choi_matrix(tmp_path, monkeypatch, doc):
+    """analyze --all and decompose each eigendecompose the channel's
+    Choi matrix once: rank, minimal Kraus, the choi report, fidelity,
+    can_distribute and the rank-2 capacity all read one spectrum."""
+    path = write_doc(tmp_path, "ch.json", doc)
+    choi = cli.load_channel_file(path)[0].choi
+    calls = count_choi_factorizations(monkeypatch, choi)
+    for argv in (["analyze", path, "--all"], ["decompose", path]):
+        assert run(argv) == 0
+        assert calls == ["eigh"]
+        del calls[:]
 
 
 def _one_error_line(capsys):

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qchan import channel, extremal, numkit
-from conftest import (random_density, random_pure, random_tp_channel,
-                      random_unitary)
+from conftest import (count_choi_factorizations, random_density,
+                      random_pure, random_tp_channel, random_unitary)
 
 
 def test_unitary_channels_extremal():
@@ -135,17 +135,13 @@ def test_split_extremal():
     assert extremal.is_extremal_tp(sp.left)
 
 
-def test_split_extremal_derives_the_kraus_directions_once(monkeypatch):
-    kraus_from_choi = channel.kraus_from_choi
-    calls = []
-
-    def counted(choi):
-        calls.append(choi)
-        return kraus_from_choi(choi)
-
-    monkeypatch.setattr(channel, "kraus_from_choi", counted)
-    sp = extremal.split_extremal(channel.depolarizing(0.5))
-    assert len(calls) == 1
+def test_split_extremal_factors_the_choi_matrix_once(monkeypatch):
+    """find_perturbation and the split read the directions off the
+    Channel's one factorization of its Choi matrix."""
+    ch = channel.depolarizing(0.5)
+    calls = count_choi_factorizations(monkeypatch, ch.choi)
+    sp = extremal.split_extremal(ch)
+    assert calls == ["eigh"]
     monkeypatch.undo()
     # the Q of find_perturbation, rescaled the same way
     q = extremal.find_perturbation(channel.depolarizing(0.5))

@@ -190,6 +190,9 @@ def test_sqrt_psd():
     x = numkit.sqrt_psd(rho)
     assert np.abs(x @ x.conj().T - rho).max() < 1e-10
     assert x.shape[1] == 2  # columns only for the numerical rank
+    w, v = numkit.eigh(rho)
+    assert np.array_equal(numkit.psd_factor(w, v), x)
+    assert numkit.psd_factor(w, v, tol=w[-1]).shape[1] == 0
     with pytest.raises(ValueError):
         numkit.sqrt_psd(np.diag([1.0, -0.5]))
 
@@ -197,9 +200,10 @@ def test_sqrt_psd():
 def test_require_density():
     rng = np.random.default_rng(9)
     rho = random_density(rng, 4, rank=3)
-    back, w = numkit.require_density(rho, 4)
+    back, w, v = numkit.require_density(rho, 4)
     assert np.array_equal(back, rho)
     assert np.abs(w - np.linalg.eigvalsh(rho)).max() < 1e-12
+    assert np.abs((v * w) @ v.conj().T - rho).max() < 1e-12
     numkit.require_density(np.diag([1.0, 0.0]))
     with pytest.raises(ValueError, match="2x2"):
         numkit.require_density(rho, 2)

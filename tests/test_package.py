@@ -101,19 +101,20 @@ def worker_cpu():
 
 rng = np.random.default_rng(5)
 
-def random_qutrit(rank):
-    g = rng.normal(size=(3 * rank, 3)) + 1j * rng.normal(size=(3 * rank, 3))
+def random_kraus(n, rank):
+    g = rng.normal(size=(n * rank, n)) + 1j * rng.normal(size=(n * rank, n))
     q = np.linalg.qr(g)[0]
-    return [q[3 * k:3 * k + 3] for k in range(rank)]
+    return [q[n * k:n * k + n] for k in range(rank)]
 
-kraus = {rank: [random_qutrit(rank) for _ in range(3)] for rank in (7, 8, 9)}
+kraus = [random_kraus(3, rank) for rank in (7, 8, 9) for _ in range(3)]
+kraus += [random_kraus(4, rank) for rank in (12, 16)]
 path = os.path.join(sys.argv[1], "qutrit.json")
 with open(path, "w") as fh:
     json.dump({"kraus": [[[[z.real, z.imag] for z in row] for row in k]
-                         for k in kraus[9][0]]}, fh)
+                         for k in kraus[6]]}, fh)
 
 def work():
-    for ks in sum(kraus.values(), []):
+    for ks in kraus:
         extremal.decompose_into_extremals(channel.Channel(ks))
     with contextlib.redirect_stdout(io.StringIO()):
         return [cli.main(["analyze", path, "--all"]),
@@ -131,9 +132,10 @@ print(json.dumps({"threads": len(glob.glob("/proc/self/task/*")),
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="reads thread CPU times from /proc")
 def test_qutrit_routes_leave_the_blas_pool_idle(tmp_path):
-    """Decompositions of qutrit channels of rank 7 to 9, analyze --all and
-    decompose run on the calling thread: the BLAS worker threads that
-    numpy's import starts gain less than 30 ms of CPU time.
+    """Decompositions of qutrit channels of rank 7 to 9 and of n = 4
+    channels of rank 12 and 16, analyze --all and decompose run on the
+    calling thread: the BLAS worker threads that numpy's import starts
+    gain less than 30 ms of CPU time.
 
     Run in a fresh process, after a warm-up and a pause that lets the
     workers fall asleep."""
@@ -200,7 +202,7 @@ def test_every_private_module_name_is_used():
 # the only tolerance parameters: --tol reaches the first two, and callers
 # pass the other two a threshold other than the default
 TOLERANCE_PARAMETERS = {"channel.rank", "qubit.is_entanglement_breaking",
-                        "numkit.sqrt_psd", "extremal._perturbation"}
+                        "numkit.psd_factor", "extremal._perturbation"}
 
 
 def _functions(body, prefix):
@@ -231,6 +233,45 @@ def test_one_tolerance_policy():
                 found.add(name)
     assert found == TOLERANCE_PARAMETERS
     assert qubit.PAULIS is numkit.PAULIS
+
+
+# the calls that factor a matrix or read its spectrum
+FACTORIZATIONS = {"eigh", "eigvalsh", "sqrt_psd", "kraus_from_choi"}
+
+
+def _dual_state(node):
+    """Whether an expression is a .choi or .jam, or arithmetic on one."""
+    if isinstance(node, ast.Attribute):
+        return node.attr in ("choi", "jam")
+    if isinstance(node, ast.BinOp):
+        return _dual_state(node.left) or _dual_state(node.right)
+    if isinstance(node, ast.UnaryOp):
+        return _dual_state(node.operand)
+    return False
+
+
+def test_only_channel_factors_the_dual_state():
+    """No module but channel.py hands a .choi or .jam to an eigensolver,
+    sqrt_psd or kraus_from_choi: every other reader of the dual state's
+    spectrum takes Channel.choi_eigh, so there is one route."""
+    package = os.path.dirname(qchan.__file__)
+    found = []
+    for path in sorted(glob.glob(os.path.join(package, "*.py"))):
+        module = os.path.basename(path)
+        if module == "channel.py":
+            continue
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else (
+                getattr(func, "id", None))
+            args = node.args + [k.value for k in node.keywords]
+            if name in FACTORIZATIONS and any(map(_dual_state, args)):
+                found.append("%s:%d" % (module, node.lineno))
+    assert found == []
 
 
 # the module-level tolerance constants; a new cut of its own needs an

@@ -1,10 +1,11 @@
 import time
+import types
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from qchan import channel, cli, extremal, numkit, qubit
+from qchan import capacity, channel, cli, extremal, numkit, qubit
 from conftest import filtered_tp, pauli_channel, random_density, \
     random_pure, random_tp_channel, random_unitary
 
@@ -657,7 +658,7 @@ def test_entanglement_breaking_agrees_with_concurrence(ch):
     assert breaking == (ptmin > 0)
     assert breaking == (qubit.concurrence(ch.jam) <= 1e-9)
     if breaking:
-        assert not qubit.can_distribute_entanglement(ch)
+        assert qubit.max_entanglement_fidelity(ch)[0] <= 0.5 + 1e-12
 
 
 def test_entanglement_breaking_other_channels():
@@ -669,16 +670,37 @@ def test_entanglement_breaking_other_channels():
     assert not qubit.is_entanglement_breaking(channel.phase_flip(0.3))
 
 
-def test_can_distribute_entanglement():
-    rng = np.random.default_rng(17)
-    assert qubit.can_distribute_entanglement(channel.identity(2))
-    assert not qubit.can_distribute_entanglement(
-        channel.completely_depolarizing(2))
-    for _ in range(20):
-        ch = random_tp_channel(rng, 2, int(rng.integers(1, 5)))
-        out = qubit.can_distribute_entanglement(ch)
-        top = np.linalg.eigvalsh(ch.jam)[-1]
-        assert out == (top > 0.5 + 1e-12)
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(
+    st.integers(2, 3).flatmap(lambda n: st.builds(
+        lambda seed, rank: random_tp_channel(
+            np.random.default_rng(seed), n, rank),
+        st.integers(0, 2 ** 32 - 1), st.integers(1, n * n))),
+    st.builds(channel.depolarizing, st.floats(0, 4 / 3)),
+    st.builds(channel.phase_flip, st.floats(0, 1))))
+def test_dual_state_spectrum_has_one_route(ch):
+    """The rank, the minimal Kraus count, the choi report's eigenvalues,
+    f_max, can_distribute and the rank-2 capacity's p all agree with one
+    eigvalsh of the dual state."""
+    ref = np.linalg.eigvalsh(ch.jam)
+    w = ref * ch.choi_trace
+    cut = numkit.PSD_TOL * max(w[-1], 1.0)
+    assume(np.abs(w - cut).min() > 1e-12)
+    rank = int(np.count_nonzero(w > cut))
+    assert channel.rank(ch) == len(channel.minimal_kraus(ch)) == rank
+    flags = types.SimpleNamespace(tol=1e-9)
+    report = cli._run_analysis("choi", ch, flags)
+    assert np.abs(np.array(report["jam_eigenvalues"]) - ref).max() < 1e-12
+    f_max = cli._run_analysis("fidelity", ch, flags)["f_max"]
+    assert abs(f_max - ref[-1]) < 1e-12
+    if ch.dim == 2:
+        eb = cli._run_analysis("eb", ch, flags)
+        assert eb["can_distribute"] == (f_max > 0.5 + 1e-12)
+        try:
+            q = capacity.quantum_capacity_rank2_unital(ch)
+        except ValueError:
+            return
+        assert abs(q - (1 - capacity.binary_entropy(ref[-1]))) < 1e-12
 
 
 def test_max_entanglement_fidelity_identity():
