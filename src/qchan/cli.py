@@ -165,9 +165,7 @@ def load_channel_file(path):
                     % (path, key))
         try:
             ch = BUILDERS[name](**params)
-        except TypeError as exc:
-            raise ChannelFileError("%s: builder %r: %s" % (path, name, exc))
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ChannelFileError("%s: builder %r: %s" % (path, name, exc))
         source = {"form": "builder", "builder": name,
                   "params": {k: (v if not isinstance(v, np.ndarray)
@@ -222,8 +220,7 @@ class AnalysisReport:
                     _yn(s["unital"]), _yn(s["cp"]), s["source"]["form"]
                     + (":" + s["source"]["builder"]
                        if s["source"]["form"] == "builder" else ""))]
-        p = self.provenance
-        lines.append("settings: tol=%g" % p["tol"])
+        lines.append("settings: tol=%g" % self.provenance["tol"])
         for name, res in self.results.items():
             lines.extend(_result_lines(name, res))
         return lines
@@ -233,15 +230,20 @@ def _yn(b):
     return "yes" if b else "no"
 
 
+def _fixed(x, places=6, pad=""):
+    """x rounded to places, as format(x, pad + ".<places>f"); a value that
+    rounds to zero prints without its sign."""
+    return format(round(x, places) + 0.0, "%s.%df" % (pad, places))
+
+
 def _fmt_vec(v):
-    return " ".join("%.6f" % x for x in np.asarray(v).real)
+    return " ".join(_fixed(x) for x in np.asarray(v).real)
 
 
 def _matrix_lines(rows, indent):
     """Text lines of an encoded matrix, entries rounded to 6 places."""
-    mat = np.array([[complex(re, im) for re, im in row] for row in rows])
-    return [indent + "  ".join("%9.6f%+9.6fj" % (z.real, z.imag) for z in row)
-            for row in np.round(mat, 6)]
+    return [indent + "  ".join(_fixed(re, pad="9") + _fixed(im, pad="+9")
+                               + "j" for re, im in row) for row in rows]
 
 
 def _result_lines(name, res):
@@ -265,7 +267,8 @@ def _result_lines(name, res):
                 "  slocc: %s%s" % (res["slocc"]["kind"],
                                    _slocc_extras(res["slocc"]))]
     if name == "fidelity":
-        return ["fidelity: f_max=%.9f (%s)" % (res["f_max"], res["method"])]
+        return ["fidelity: f_max=%s (%s)" % (_fixed(res["f_max"], 9),
+                                             res["method"])]
     if name == "capacities":
         lines = []
         for key in ("holevo_chi", "quantum_capacity"):
@@ -274,14 +277,14 @@ def _result_lines(name, res):
                 lines.append("capacities: %s: skipped (%s)"
                              % (key, sub["skipped"]))
             elif key == "holevo_chi":
-                lines.append("capacities: holevo_chi=%.9f (%s, gap %.1e)"
-                             % (sub["value"], sub["method"],
+                lines.append("capacities: holevo_chi=%s (%s, gap %.1e)"
+                             % (_fixed(sub["value"], 9), sub["method"],
                                 sub["upper_bound"] - sub["value"]))
                 lines.append("  ensemble weights: "
                              + _fmt_vec(sub["ensemble"]["weights"]))
             else:
-                lines.append("capacities: quantum_capacity=%.9f (%s)"
-                             % (sub["value"], sub["method"]))
+                lines.append("capacities: quantum_capacity=%s (%s)"
+                             % (_fixed(sub["value"], 9), sub["method"]))
         return lines
     return ["%s: %r" % (name, res)]
 
@@ -291,8 +294,8 @@ def _slocc_extras(sub):
     if sub.get("s") is not None:
         parts.append("s=(%s)" % _fmt_vec(sub["s"]))
     if sub.get("x") is not None:
-        parts.append("x=%.6f" % sub["x"])
-    parts.append("scale=%.6f" % sub["scale"])
+        parts.append("x=" + _fixed(sub["x"]))
+    parts.append("scale=" + _fixed(sub["scale"]))
     return " " + " ".join(parts)
 
 
@@ -315,23 +318,21 @@ def _run_analysis(name, ch, flags):
             return {"extremal": bool(extremal.is_extremal_tp(ch)),
                     "method": "kraus-product rank test"}
         if name == "eb":
-            return {"entanglement_breaking":
-                        bool(qubit.is_entanglement_breaking(ch, flags.tol)),
-                    "can_distribute":
-                        qubit.max_entanglement_fidelity(ch)[0] > 0.5 + 1e-12,
-                    "method": "dual-state partial transpose"}
+            breaking = qubit.is_entanglement_breaking(ch, flags.tol)
+            return {"entanglement_breaking": breaking,
+                    "can_distribute": not breaking,
+                    "method": "dual-state top eigenvalue"}
         if name == "normal_forms":
             lu = qubit.lu_normal_form(ch)
             slocc = qubit.slocc_normal_form(ch)
-            out = {"lu": {"lambdas": list(lu.lambdas),
-                          "shift": list(lu.shift)},
-                   "slocc": {"kind": slocc.kind,
-                             "scale": float(slocc.scale),
-                             "s": (list(slocc.s)
-                                   if slocc.s is not None else None),
-                             "x": (float(slocc.x)
-                                   if slocc.x is not None else None)}}
-            return out
+            return {"lu": {"lambdas": list(lu.lambdas),
+                           "shift": list(lu.shift)},
+                    "slocc": {"kind": slocc.kind,
+                              "scale": float(slocc.scale),
+                              "s": (list(slocc.s)
+                                    if slocc.s is not None else None),
+                              "x": (float(slocc.x)
+                                    if slocc.x is not None else None)}}
         if name == "fidelity":
             f, chi_vec = qubit.max_entanglement_fidelity(ch)
             return {"f_max": float(f),
@@ -437,7 +438,8 @@ def _decompose_text(report):
     lines.append("components: %d" % len(report["components"]))
     for k, comp in enumerate(report["components"]):
         kind = "unitary" if comp["unitary"] else "rank %d" % comp["rank"]
-        lines.append("  %d: weight %.9f (%s)" % (k, comp["weight"], kind))
+        lines.append("  %d: weight %s (%s)" % (k, _fixed(comp["weight"], 9),
+                                               kind))
         for a in comp["kraus"]:
             lines.extend(_matrix_lines(a, "     "))
     return lines

@@ -144,7 +144,7 @@ def eigh(m):
     w, v = np.linalg.eigh(m)
     scale = max(np.abs(w).max(), 1.0)
     if np.abs((v * w) @ v.conj().T - m).max() > 1e-10 * scale:
-        raise ArithmeticError("eigh reconstruction residual too large")
+        raise RuntimeError("eigh reconstruction residual too large")
     return w, v
 
 
@@ -158,7 +158,7 @@ def svd(m):
     v = vh.conj().T
     scale = max(s.max() if s.size else 0.0, 1.0)
     if np.abs((u[:, :s.size] * s) @ vh[:s.size] - m).max() > 1e-10 * scale:
-        raise ArithmeticError("svd reconstruction residual too large")
+        raise RuntimeError("svd reconstruction residual too large")
     return u, s, v
 
 
@@ -212,7 +212,7 @@ def takagi(s):
         q[np.ix_(g, g)] = _symmetric_unitary_root(u[:, g].T @ v[:, g])
     vt = u @ q.conj()
     if np.abs((vt * sig) @ vt.T - s).max() > 1e-10 * scale:
-        raise ArithmeticError("takagi reconstruction residual too large")
+        raise RuntimeError("takagi reconstruction residual too large")
     return vt, sig
 
 

@@ -212,13 +212,8 @@ def lu_normal_form(ch):
         t1 = rot @ t1
     # pairs of sign flips (proper rotations about coordinate axes) free
     # the signs of two shift components; make x and y nonnegative
-    dvals = np.ones(3)
-    if t1[0] < 0 and t1[1] < 0:
-        dvals = np.array([-1.0, -1.0, 1.0])
-    elif t1[0] < 0:
-        dvals = np.array([-1.0, 1.0, -1.0])
-    elif t1[1] < 0:
-        dvals = np.array([1.0, -1.0, -1.0])
+    sx, sy = np.where(t1[:2] < 0, -1.0, 1.0)
+    dvals = np.array([sx, sy, sx * sy])
     t1 = dvals * t1
     # when x or y vanishes a further pair flip fixes the z sign for free
     if t1[2] < 0:
@@ -452,8 +447,8 @@ def _nongeneric_frame(r, s, mu, unit_x):
     p's eta-orthogonal to it serve. With the null partner q of m (m^T eta
     q = 2, q eta-orthogonal to the p's) the frame is L(A)^T = [(q+m)/2,
     p1, p2, (q-m)/2], and L(B) follows from r L(A)^-1 = scale L(B) T(x),
-    or from an eta-completion when x is too small to invert. Returns the
-    unchecked form, or None.
+    or from an eta-completion turned onto it when x is too small to
+    invert. Returns the unchecked form, or None.
     """
     if mu <= 1e-12:
         return None
@@ -488,17 +483,18 @@ def _nongeneric_frame(r, s, mu, unit_x):
     rl = r @ ETA @ fa @ ETA / scale
     b3 = 3 * rl[:, 3]
     b0 = rl[:, 0] - 2 * rl[:, 3]
-    # the completion drops O(x) terms and the inversion amplifies rounding
-    # by 1/x; the two errors cross at x = sqrt(eps)
-    if x >= np.sqrt(np.finfo(float).eps):
-        fb = np.stack([b0, rl[:, 1], rl[:, 2], b3], axis=1)
-        fb[:, 1:3] *= np.sqrt(3) / x
+    fb = _eta_complete([b0, b3])
+    if fb is None:
+        return None
+    # rl[:, 1:3] is x / sqrt(3) times the completing pair, turned: its
+    # block reads x linearly (the eigenvalues give it to sqrt(eps)), and
+    # the inversion amplifies rounding by 1/x
+    u, sv, vt = np.linalg.svd(fb[:, 2:].T @ -ETA @ rl[:, 1:3])
+    x_s = float(np.sqrt(3) * sv.mean())
+    if min(x, x_s) >= np.sqrt(np.finfo(float).eps):
+        fb = np.column_stack([b0, rl[:, 1:3] * (np.sqrt(3) / x), b3])
     else:
-        # T(x) all but erases e1 and e2; any completion serves
-        fb = _eta_complete([b0, b3])
-        if fb is None:
-            return None
-        fb = fb[:, [0, 2, 3, 1]]
+        x, fb = x_s, np.column_stack([b0, fb[:, 2:] @ u @ vt, b3])
         if np.linalg.det(fb) < 0:
             fb[:, 2] *= -1
     try:
@@ -873,14 +869,15 @@ def kraus_contraction_form(ch):
 def is_entanglement_breaking(ch, tol=numkit.PSD_TOL):
     """Whether the channel output is always separable.
 
-    True when the dual state's partial transpose has no eigenvalue below
-    -max(tol, numkit.PSD_TOL); for two qubits a positive partial
-    transpose is exactly separability. Channels within the band of the
-    threshold count as breaking.
+    For a qubit the reduction map X -> Tr(X) I - X is sigma_y X^T sigma_y,
+    so for a TP channel the least eigenvalue of the dual state's partial
+    transpose is 1/2 - f_max, f_max the top dual-state eigenvalue; and
+    for two qubits a positive partial transpose is exactly separability.
+    True when f_max <= 1/2 + max(tol, numkit.PSD_TOL): channels within
+    the band of the threshold count as breaking.
     """
     _require_qubit_tp(ch)
-    ptmin = numkit.eigh(numkit.partial_transpose(ch.jam, 2, 2, 1))[0][0]
-    return bool(ptmin >= -max(tol, numkit.PSD_TOL))
+    return max_entanglement_fidelity(ch)[0] <= 0.5 + max(tol, numkit.PSD_TOL)
 
 
 def max_entanglement_fidelity(ch):

@@ -49,6 +49,19 @@ def pauli_channel(s1, s2, s3):
     return channel.Channel(ops, require_tp=True)
 
 
+def random_sl2(rng):
+    g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    return g / np.sqrt(np.linalg.det(g))
+
+
+def template_channel(x):
+    """Bloch matrix T(x), the non-generic template: amplitude damping at
+    2/3, then a phase flip with 1 - 2p = x."""
+    flip = channel.phase_flip((1 - x) / 2)
+    damp = channel.amplitude_damping(2 / 3)
+    return channel.Channel([f @ d for f in flip.kraus for d in damp.kraus])
+
+
 def filtered_tp(ch, a, b):
     """Filter on both sides, then renormalize back to trace preservation."""
     ks = [b @ k @ a for k in ch.kraus]

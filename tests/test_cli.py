@@ -11,7 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qchan import capacity, channel, cli, extremal
-from conftest import count_choi_factorizations, random_density
+from conftest import count_choi_factorizations, filtered_tp, \
+    random_density, random_sl2, random_tp_channel, random_unitary, \
+    template_channel
 
 
 def write_doc(tmp_path, name, doc):
@@ -177,14 +179,48 @@ def test_analyze_depolarizing_eb(tmp_path, capsys):
 
 
 def test_analyze_eb_near_threshold(tmp_path, capsys):
-    # the concurrence and the partial transpose sit on opposite sides of
-    # 1e-9 here; the verdict is a result, not a skipped analysis
+    # the concurrence and 1/2 - f_max sit on opposite sides of 1e-9 here;
+    # the verdict is a result, not a skipped analysis, and a breaking
+    # channel distributes no entanglement
     path = write_doc(tmp_path, "dep.json",
                      {"builder": "depolarizing", "p": 2 / 3 - 1e-9})
     code = run(["analyze", path, "--eb", "--format", "structured"])
     assert code == 0
     report = json.loads(capsys.readouterr().out)
     assert report["results"]["eb"]["entanglement_breaking"] is True
+    assert report["results"]["eb"]["can_distribute"] is False
+
+
+def test_eb_fields_never_contradict(tmp_path, capsys):
+    """Around the depolarizing threshold p = 2/3, at every --tol, the
+    channel either breaks entanglement or distributes it."""
+    verdicts = set()
+    for p in [0.6665] + [2 / 3 + d for d in (-1e-3, -1e-6, -1e-9, -1e-12,
+                                              0.0, 1e-12, 1e-9, 1e-6, 1e-3)]:
+        path = write_doc(tmp_path, "dep.json",
+                         {"builder": "depolarizing", "p": p})
+        for tol in ("1e-12", "1e-9", "1e-6", "1e-3", "1e-2"):
+            assert run(["analyze", path, "--eb", "--tol", tol,
+                        "--format", "structured"]) == 0
+            eb = json.loads(capsys.readouterr().out)["results"]["eb"]
+            assert eb["can_distribute"] is not eb["entanglement_breaking"]
+            verdicts.add(eb["entanglement_breaking"])
+    assert verdicts == {True, False}
+
+
+def test_analyze_eb_solves_one_eigenproblem(tmp_path, monkeypatch):
+    """The eb verdict reads the dual-state spectrum that the summary's
+    rank factors; no second matrix is diagonalized."""
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        def counted(*args, solve=getattr(np.linalg, name), **kwargs):
+            calls.append(solve.__name__)
+            return solve(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    path = write_doc(tmp_path, "dep.json",
+                     {"builder": "depolarizing", "p": 0.5})
+    assert run(["analyze", path, "--eb"]) == 0
+    assert calls == ["eigh"]
 
 
 def test_analyze_constant_channel_chi_is_positive_zero(tmp_path, capsys):
@@ -246,6 +282,44 @@ def test_one_factorization_of_the_choi_matrix(tmp_path, monkeypatch, doc):
         del calls[:]
 
 
+def _seeded(make, *args):
+    """A strategy of make(rng, *drawn args) over seeded generators."""
+    return st.builds(lambda seed, *a: make(np.random.default_rng(seed), *a),
+                     st.integers(0, 2 ** 32 - 1), *args)
+
+
+_DIMS = st.integers(2, 3)
+# the non-generic template toward x = 0 under random filters
+_TEMPLATES = _seeded(lambda rng, x: filtered_tp(
+    template_channel(x), random_sl2(rng), random_sl2(rng)),
+    st.sampled_from([0.0, 1e-12, 1e-9]))
+_OTHER_CHANNELS = st.one_of(
+    _DIMS.flatmap(lambda n: _seeded(random_tp_channel, st.just(n),
+                                    st.integers(1, n * n))),
+    st.builds(channel.depolarizing, st.floats(0, 4 / 3)),
+    st.builds(channel.amplitude_damping, st.floats(0, 1)),
+    st.builds(channel.phase_flip, st.floats(0, 1)),
+    st.builds(channel.bit_flip, st.floats(0, 1)),
+    st.builds(channel.identity, _DIMS),
+    st.builds(channel.completely_depolarizing, _DIMS),
+    _seeded(lambda rng, n: channel.replacer(random_density(rng, n)), _DIMS),
+    _seeded(lambda rng, n: channel.unitary(random_unitary(rng, n)), _DIMS))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.booleans().flatmap(lambda t: _TEMPLATES if t else _OTHER_CHANNELS),
+       st.sampled_from([cli.write_kraus_file, cli.write_choi_file]))
+def test_every_analysis_runs_on_valid_channels(tmp_path_factory, ch, write):
+    """A valid channel file never trips an internal self-check: analyze
+    --all raises no RuntimeError on random channels of every rank, the
+    builders, unitaries and (half the draws) filtered non-generic
+    templates toward x = 0."""
+    path = str(tmp_path_factory.getbasetemp() / "valid.json")
+    write(path, ch)
+    cli.cmd_analyze(path, cli._parser().parse_args(["analyze", path,
+                                                    "--all"]))
+
+
 def _one_error_line(capsys):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
@@ -261,6 +335,21 @@ def test_analyze_uncertified_chi_exits_one(tmp_path, capsys, monkeypatch):
                      {"builder": "amplitude_damping", "gamma": 0.5})
     assert run(["analyze", path, "--capacities"]) == 1
     assert "not certified" in _one_error_line(capsys)
+
+
+def test_failed_factorization_check_exits_one(tmp_path, capsys, monkeypatch):
+    # eigenvalues off by 1e-3 fail numkit.eigh's reconstruction check
+    eigh = np.linalg.eigh
+
+    def perturbed(m):
+        w, v = eigh(m)
+        return w + 1e-3, v
+
+    monkeypatch.setattr(np.linalg, "eigh", perturbed)
+    path = write_doc(tmp_path, "ad.json",
+                     {"builder": "amplitude_damping", "gamma": 0.5})
+    assert run(["analyze", path, "--eb"]) == 1
+    assert "eigh reconstruction" in _one_error_line(capsys)
 
 
 def test_decompose_self_check_failure_exits_one(tmp_path, capsys,
@@ -408,6 +497,22 @@ def test_text_format_mentions_key_results(tmp_path, capsys):
     assert "f_max=0.750000000" in out
     assert "breaking=no" in out
     assert "holevo_chi=0.471729391 (lp-kkt minimax, gap " in out
+
+
+@pytest.mark.parametrize("doc, flag, line", [
+    ({"builder": "bit_flip", "p": 0.2}, "--choi",
+     "choi: jam eigenvalues: 0.000000 0.000000 0.200000 0.800000"),
+    ({"builder": "amplitude_damping", "gamma": 0.5}, "--normal-forms",
+     "normal_forms: lu lambdas: 0.707107 0.707107 0.500000  "
+     "shift: 0.000000 0.000000 0.500000")], ids=["choi", "normal_forms"])
+def test_text_zeros_print_unsigned(tmp_path, capsys, doc, flag, line):
+    """A value that rounds to zero prints without the sign its rounding
+    noise carries."""
+    path = write_doc(tmp_path, "ch.json", doc)
+    assert run(["analyze", path, flag]) == 0
+    out = capsys.readouterr().out
+    assert line in out.splitlines()
+    assert "-0.000000" not in out
 
 
 def test_one_parser_serves_every_call(tmp_path, capsys, monkeypatch):

@@ -7,7 +7,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from qchan import capacity, channel, cli, extremal, numkit, qubit
 from conftest import filtered_tp, pauli_channel, random_density, \
-    random_pure, random_tp_channel, random_unitary
+    random_pure, random_sl2, random_tp_channel, random_unitary, \
+    template_channel
 
 
 def bell_state():
@@ -25,14 +26,18 @@ def _filter(rng, c):
             @ random_unitary(rng, 2))
 
 
-def _filtered(base, rng, c):
-    """base under two random filters of condition number c^2 <= 1e3.
+def _filtered(base, rng, c=None):
+    """base under two random filters of condition number c^2 <= 1e3, or
+    under two random_sl2 filters when c is None.
 
     Near 1e3, filtered_tp's renormalization can miss the 1e-10 trace
     check of Channel; hypothesis skips such draws.
     """
+    def draw():
+        return random_sl2(rng) if c is None else _filter(rng, c)
+
     try:
-        return filtered_tp(base, _filter(rng, c), _filter(rng, c))
+        return filtered_tp(base, draw(), draw())
     except ValueError:
         assume(False)
 
@@ -208,28 +213,21 @@ def test_slocc_amplitude_damping_nongeneric():
         assert abs(form.scale - np.sqrt(3 * (1 - g))) <= 1e-9
 
 
-def _template_channel(x):
-    """Bloch matrix T(x), the non-generic template: amplitude damping at
-    2/3, then a phase flip with 1 - 2p = x."""
-    flip = channel.phase_flip((1 - x) / 2)
-    damp = channel.amplitude_damping(2 / 3)
-    return channel.Channel([f @ d for f in flip.kraus for d in damp.kraus])
-
-
-def _random_sl2(rng):
-    g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    return g / np.sqrt(np.linalg.det(g))
-
-
 @settings(max_examples=80, deadline=None)
-@given(st.one_of(st.sampled_from([1.0, 1 - 1e-7, 1 - 3e-7, 1 - 1e-9,
-                                  1 - 1e-5, 1 - 1e-3, 1e-5, 1e-6, 3e-7]),
-                 st.floats(np.log10(3e-7), 0.0).map(lambda e: 10 ** e)),
-       st.floats(0.0, 1.5), st.integers(0, 2 ** 32 - 1))
-def test_slocc_nongeneric_filter_recovery(x, log_c, seed):
-    """Random filters on the template are undone, x included."""
-    ch = _filtered(_template_channel(x), np.random.default_rng(seed),
-                   10 ** log_c)
+@given(st.one_of(
+    st.tuples(st.one_of(st.sampled_from([1.0, 1 - 1e-7, 1 - 3e-7, 1 - 1e-9,
+                                         1 - 1e-5, 1 - 1e-3, 1e-5, 1e-6,
+                                         3e-7]),
+                        st.floats(np.log10(3e-7), 0.0).map(lambda e: 10 ** e)),
+              st.floats(0.0, 1.5).map(lambda e: 10 ** e)),
+    # toward x = 0, where the eigenvalues give x only to sqrt(eps)
+    st.tuples(st.sampled_from([0.0, 1e-12, 1e-9]), st.none())),
+    st.integers(0, 2 ** 32 - 1))
+def test_slocc_nongeneric_filter_recovery(x_c, seed):
+    """Random filters on the template are undone, x included: filters of
+    condition number up to 1e3, and random_sl2 filters down to x = 0."""
+    x, c = x_c
+    ch = _filtered(template_channel(x), np.random.default_rng(seed), c)
     form = qubit.slocc_normal_form(ch)
     assert form.kind == "NonGeneric"
     assert abs(form.x - x) <= 1e-9
@@ -241,8 +239,8 @@ def test_slocc_nongeneric_near_one(seed):
     """At 1 - x = 1e-7 the eigenvalue pairs and the rank-one test blur;
     for the first filters x = 1 rebuilds r only to 3e-4."""
     rng = np.random.default_rng(seed)
-    ch = filtered_tp(_template_channel(1 - 1e-7), _random_sl2(rng),
-                     _random_sl2(rng))
+    ch = filtered_tp(template_channel(1 - 1e-7), random_sl2(rng),
+                     random_sl2(rng))
     form = qubit.slocc_normal_form(ch)
     assert abs(form.x - (1 - 1e-7)) <= 1e-9
     assert np.abs(form.reconstructed_r() - qubit.ptm(ch).r).max() <= 1e-12
@@ -255,7 +253,7 @@ def test_slocc_nongeneric_ill_conditioned_filters(x, seed):
     alone can exceed 1e-6, and neither frame rebuilds r to 1e-10;
     Gauss-Newton steps polish them."""
     rng = np.random.default_rng(seed)
-    ch = filtered_tp(_template_channel(x), _filter(rng, 30.0),
+    ch = filtered_tp(template_channel(x), _filter(rng, 30.0),
                      _filter(rng, 30.0))
     form = qubit.slocc_normal_form(ch)
     assert form.kind == "NonGeneric"
@@ -267,8 +265,8 @@ def test_slocc_refinement_recovers_a_blurred_frame():
     """The polish for frames that rounding blurs: Gauss-Newton steps from
     a perturbed form come back to the exact one."""
     rng = np.random.default_rng(22)
-    ch = filtered_tp(_template_channel(0.6), _random_sl2(rng),
-                     _random_sl2(rng))
+    ch = filtered_tp(template_channel(0.6), random_sl2(rng),
+                     random_sl2(rng))
     r = qubit.ptm(ch).r
     form = qubit.slocc_normal_form(ch)
     noise = 1e-3 * (rng.normal(size=(2, 2, 2))
@@ -312,7 +310,7 @@ def test_normal_forms_run_no_search(monkeypatch):
     for ch, kind in ((channel.amplitude_damping(0.5), "NonGeneric"),
                      (channel.depolarizing(0.5), "Generic"),
                      (random_tp_channel(rng, 2, 3), "Generic"),
-                     (_template_channel(0.3), "NonGeneric")):
+                     (template_channel(0.3), "NonGeneric")):
         assert qubit.slocc_normal_form(ch).kind == kind
 
 
@@ -640,14 +638,17 @@ def _depolarizing_mixture(seed, rank, p):
                             for a in list(ch.kraus) + list(mix.kraus)])
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.one_of(
+_QUBIT_CHANNELS = st.one_of(
     st.builds(lambda seed, rank: random_tp_channel(
         np.random.default_rng(seed), 2, rank),
         st.integers(0, 2 ** 32 - 1), st.integers(1, 4)),
     st.builds(channel.depolarizing, st.floats(0, 1)),
     st.builds(_depolarizing_mixture, st.integers(0, 2 ** 32 - 1),
-              st.integers(1, 4), st.floats(0, 1))))
+              st.integers(1, 4), st.floats(0, 1)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_QUBIT_CHANNELS)
 def test_entanglement_breaking_agrees_with_concurrence(ch):
     """Outside a 1e-6 band around the threshold the partial-transpose
     verdict is the zero-concurrence verdict, and a breaking channel
@@ -659,6 +660,30 @@ def test_entanglement_breaking_agrees_with_concurrence(ch):
     assert breaking == (qubit.concurrence(ch.jam) <= 1e-9)
     if breaking:
         assert qubit.max_entanglement_fidelity(ch)[0] <= 0.5 + 1e-12
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(_QUBIT_CHANNELS,
+                 st.builds(channel.amplitude_damping, st.floats(0, 1)),
+                 st.builds(channel.depolarizing,
+                           st.floats(2 / 3 - 1e-6, 2 / 3 + 1e-6))))
+def test_partial_transpose_minimum_is_half_less_f_max(ch):
+    """The identity that lets is_entanglement_breaking read f_max: for a
+    TP qubit channel the reduction map X -> Tr(X) I - X is sigma_y X^T
+    sigma_y, so the dual state's partial transpose has least eigenvalue
+    1/2 - f_max."""
+    ptmin = np.linalg.eigvalsh(numkit.partial_transpose(ch.jam, 2, 2, 1))[0]
+    assert abs(ptmin - (0.5 - qubit.max_entanglement_fidelity(ch)[0])) \
+        <= 1e-12
+
+
+def test_entanglement_breaking_reads_no_partial_transpose(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a partial transpose was formed")
+
+    monkeypatch.setattr(numkit, "partial_transpose", refuse)
+    assert qubit.is_entanglement_breaking(channel.depolarizing(0.7))
+    assert not qubit.is_entanglement_breaking(channel.amplitude_damping(0.5))
 
 
 def test_entanglement_breaking_other_channels():
@@ -695,7 +720,7 @@ def test_dual_state_spectrum_has_one_route(ch):
     assert abs(f_max - ref[-1]) < 1e-12
     if ch.dim == 2:
         eb = cli._run_analysis("eb", ch, flags)
-        assert eb["can_distribute"] == (f_max > 0.5 + 1e-12)
+        assert eb["can_distribute"] == (f_max > 0.5 + 1e-9)
         try:
             q = capacity.quantum_capacity_rank2_unital(ch)
         except ValueError:
