@@ -19,8 +19,9 @@ share one route: a four-row linear program over a grid of directions,
 solved by a dense simplex, then damped Newton steps on the optimality
 conditions, which differ only in how the weighted average of the
 directions is balanced. Both bounds are the minimum over the sphere of f
-less an affine function, found by Newton steps from the best grid
-directions and the solution's own, all polished in one batch. The
+less a plane: the LP dual's for correlations, for chi the tangent plane
+at the ensemble's average. It is found by Newton steps from the best
+grid directions and the solution's own, all polished in one batch. The
 fidelity dual has three variables and is minimized by damped Newton
 steps.
 """
@@ -32,18 +33,19 @@ from . import numkit, channel, extremal, qubit
 LOG2 = np.log(2.0)
 
 
+def _xlogx(x):
+    """x ln x elementwise, with 0 ln 0 = 0."""
+    return x * np.log(np.where(x > 0, x, 1.0))
+
+
 def binary_entropy(p):
     """H(p) = -p log2 p - (1-p) log2 (1-p), with H(0) = H(1) = 0."""
     p = float(p)
     if p < -1e-12 or p > 1 + 1e-12:
         raise ValueError("probability out of range: %r" % p)
     p = min(max(p, 0.0), 1.0)
-    out = 0.0
-    if p > 0:
-        out -= p * np.log(p) / LOG2
-    if p < 1:
-        out -= (1 - p) * np.log(1 - p) / LOG2
-    return out
+    # from 0.0, so that H(0) and H(1) are +0.0
+    return float((0.0 - _xlogx(p) - _xlogx(1 - p)) / LOG2)
 
 
 def von_neumann_entropy(rho):
@@ -125,11 +127,6 @@ def quantum_capacity_rank2_unital(ch):
 # remote state it leaves; for Holevo chi the frame (0, t, lam^T) of the
 # Bloch map r = t + lam u gives f(u) = H(r), the output entropy. Each
 # bound is a minimum over the sphere of f less an affine function.
-
-def _xlogx(x):
-    """x ln x elementwise, with 0 ln 0 = 0."""
-    return x * np.log(np.where(x > 0, x, 1.0))
-
 
 def _fibonacci_sphere(m):
     k = np.arange(m)
@@ -452,56 +449,28 @@ def _polish_measurement(frame, c, u, y, y0, iterations=30, ensemble=False):
 
 # --- Holevo quantity ----------------------------------------------------------
 
-def _divergence_affine(frame, w, u):
-    """kappa, y with D(Phi(u') || sigma) = kappa + y.u' - f(u') in the
-    channel frame (0, t, lam^T), at sigma the average output of the
-    ensemble (w, u) mixed with 1e-12 of I / 2 so that log sigma stays
-    finite.
-
-    sigma = (I + s.sigma) / 2 has the eigenvalues (1 +- |s|) / 2 along
-    +-s; kappa weighs their logarithms by (1 +- t.s / |s|) / 2 >= 0, so
-    its terms do not cancel.
-    """
-    s = (1 - 1e-12) * (frame[1] + (w @ u) @ frame[2])
-    n = np.linalg.norm(s)
-    shat = s / n if n > 0 else s
-    up, down = np.log1p(n) - LOG2, np.log1p(-n) - LOG2
-    c = frame[1] @ shat
-    return (-((1 + c) * up + (1 - c) * down) / (2 * LOG2),
-            (down - up) / (2 * LOG2) * (frame[2] @ shat))
-
-
-def _chi_value(frame, w, u):
-    """f(ubar) - sum w_i f(u_i), ubar = sum w_i u_i, in the channel frame."""
-    f = _frame_entropy(frame, np.vstack([w @ u, u]))
-    return f[0] - w @ f[1:]
-
-
-def _chi_bounds(frame, w, u):
-    """chi of the ensemble (w, u), the minimax bound at its average output,
-    and the input direction attaining that bound.
-
-    Any sigma gives chi <= max over the sphere of D(Phi(u) || sigma) =
-    kappa + y.u - f(u), so the bound is -min(f - kappa - y.u).
-    """
-    kappa, y = _divergence_affine(frame, w, u)
-    low, u_star = _sphere_min(frame, kappa, y, u)
-    return _chi_value(frame, w, u), -low, u_star
-
-
 def _chi_primal_dual(frame):
-    """Ensemble (w, u) with its chi and a minimax upper bound."""
+    """Ensemble (w, u) with its chi and the minimax upper bound.
+
+    With m = sum w u, any plane T through (m, f(m)) has sum w T(u_i) =
+    f(m), so chi = f(m) - sum w f(u_i) = sum w (T - f)(u_i) <= max over
+    the sphere of T - f, whatever T's slope. The polish ties y to grad
+    f(m), which makes T the tangent plane at m and the bound the minimax
+    one.
+    """
     c, y0, y = _measurement_lp(frame, _GRID)
     w, u = _cluster(c, _GRID)
     for k in range(_ROUNDS):
         w, u, y, y0 = _polish_measurement(frame, w, u, y, y0, ensemble=True)
         if len(w) < 2:  # one state carries no information; use a pair
             w, u = np.array([0.5, 0.5]), np.concatenate([u, -u])
-        lower, upper, u_star = _chi_bounds(frame, w, u)
+        m = w @ u
+        f = _frame_entropy(frame, np.vstack([m, u]))
+        low, u_star = _sphere_min(frame, f[0] - y @ m, y, u)
+        lower, upper = f[0] - w @ f[1:], -low
         if upper - lower <= _TARGET_GAP or k == _ROUNDS - 1:
             break
         w, u = np.append(0.99 * w, 0.01), np.vstack([u, u_star])
-        y = _frame_terms(frame, (w @ u)[None], np.eye(3)[None])[1][0]
         y0 = w @ (_frame_entropy(frame, u) - u @ y)
     return w, u, lower, upper
 
@@ -510,22 +479,22 @@ def holevo_chi(ch):
     """Maximize S(out of average) - average output entropy over ensembles.
 
     Works on the Bloch map r = t + lam u of the channel, as the frame
-    (0, t, lam^T) of the sphere toolkit, and takes the route of
-    classical correlations. A lower bound comes from a pure-state
-    ensemble: the measurement linear program over a grid of input
-    directions gives the best grid ensemble of average input I / 2,
-    merged into at most four points; damped Newton (Levenberg-Marquardt)
-    steps on the optimality conditions then polish weights and
-    directions with the average free and the dual y tied to it, y =
-    grad f(average). The upper bound is the minimax one (Schumacher and
-    Westmoreland), chi <= max over pure psi of D(Phi(psi) || sigma), at
-    sigma the output of the ensemble's average; the divergence is an
-    affine function less the output entropy, so the maximum is the
-    sphere minimum that also bounds classical correlations. While the
-    gap is wide the maximizer joins the ensemble and the polish runs
-    again. The ensemble is rebuilt as density matrices and its value
-    recomputed from them. Raises RuntimeError if the upper bound is more
-    than 1e-8 above that value.
+    (0, t, lam^T) of the sphere toolkit with f(u) = H(r), and takes the
+    route of classical correlations. A lower bound comes from a
+    pure-state ensemble (w, u): the measurement linear program over a
+    grid of input directions gives the best grid ensemble of average
+    input I / 2, merged into at most four points; damped Newton
+    (Levenberg-Marquardt) steps on the optimality conditions then polish
+    weights and directions with the average m = sum w u free and the
+    dual y tied to it, y = grad f(m). The upper bound is the sphere
+    minimum that also bounds classical correlations, of f less the
+    tangent plane T at m: chi = sum w (T - f)(u_i) <= max over the
+    sphere of T - f. T - f is D(Phi(u) || Phi(m)), so this is the
+    minimax bound of Schumacher and Westmoreland. While the gap is wide
+    the maximizer joins the ensemble and the polish runs again. The
+    ensemble is rebuilt as density matrices and its value recomputed
+    from them. Raises RuntimeError if the upper bound is more than 1e-8
+    above that value.
     """
     qubit._require_qubit_tp(ch)
     p = qubit.ptm(ch)

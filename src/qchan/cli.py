@@ -11,7 +11,7 @@ one of:
 Matrix entries are written row-major as [re, im] pairs; plain numbers are
 accepted on input and read as reals; NaN, Infinity and numbers beyond
 the float range are refused. Reports come out either as aligned text or
-as one line of JSON mirroring the AnalysisReport fields; the ellipsoid
+as one line of JSON mirroring the report dict; the ellipsoid
 command emits a one-row CSV with the Bloch image geometry.
 
 Exit status is 0 when every requested analysis completed (an analysis
@@ -195,37 +195,6 @@ def write_kraus_file(path, ch):
 
 # --- reports ----------------------------------------------------------------
 
-class AnalysisReport:
-    """Channel summary plus the results of the requested analyses.
-
-    results maps analysis names to dicts; an analysis whose hypothesis
-    the channel fails carries a 'skipped' key with the reason instead of
-    values. Every analysis is deterministic; provenance records the
-    tolerance and the output format.
-    """
-
-    def __init__(self, summary, results, provenance):
-        self.summary = summary
-        self.results = results
-        self.provenance = provenance
-
-    def as_dict(self):
-        return {"summary": self.summary, "results": self.results,
-                "provenance": self.provenance}
-
-    def text_lines(self):
-        s = self.summary
-        lines = ["channel: dim=%d rank=%d tp=%s unital=%s cp=%s (%s)"
-                 % (s["dim"], s["rank"], _yn(s["trace_preserving"]),
-                    _yn(s["unital"]), _yn(s["cp"]), s["source"]["form"]
-                    + (":" + s["source"]["builder"]
-                       if s["source"]["form"] == "builder" else ""))]
-        lines.append("settings: tol=%g" % self.provenance["tol"])
-        for name, res in self.results.items():
-            lines.extend(_result_lines(name, res))
-        return lines
-
-
 def _yn(b):
     return "yes" if b else "no"
 
@@ -365,7 +334,13 @@ def _run_analysis(name, ch, flags):
 
 
 def cmd_analyze(path, flags):
-    """Run the selected analyses on a channel file; returns the report."""
+    """Run the selected analyses on a channel file; returns a report dict.
+
+    Its summary describes the channel; results maps analysis names to
+    dicts, where an analysis whose hypothesis the channel fails carries a
+    'skipped' key with the reason instead of values. Every analysis is
+    deterministic; provenance records the tolerance and the output format.
+    """
     ch, source = load_channel_file(path)
     source["path"] = path
     selected = [name for name in ANALYSES if getattr(flags, name, False)]
@@ -385,8 +360,8 @@ def cmd_analyze(path, flags):
                          else _run_analysis(name, ch, flags))
     if getattr(flags, "emit_choi", None):
         write_choi_file(flags.emit_choi, ch)
-    provenance = {"tol": flags.tol, "format": flags.format}
-    return AnalysisReport(summary, results, provenance)
+    return {"summary": summary, "results": results,
+            "provenance": {"tol": flags.tol, "format": flags.format}}
 
 
 def cmd_decompose(path, flags):
@@ -429,6 +404,19 @@ def cmd_ellipsoid(path, out_csv):
 
 
 # --- entry point ------------------------------------------------------------
+
+def _analyze_text(report):
+    s = report["summary"]
+    lines = ["channel: dim=%d rank=%d tp=%s unital=%s cp=%s (%s)"
+             % (s["dim"], s["rank"], _yn(s["trace_preserving"]),
+                _yn(s["unital"]), _yn(s["cp"]), s["source"]["form"]
+                + (":" + s["source"]["builder"]
+                   if s["source"]["form"] == "builder" else "")),
+             "settings: tol=%g" % report["provenance"]["tol"]]
+    for name, res in report["results"].items():
+        lines.extend(_result_lines(name, res))
+    return lines
+
 
 def _decompose_text(report):
     lines = ["source: %s" % report["source"]["path"]]
@@ -500,19 +488,15 @@ def _silence_stdout():
 def main(argv=None):
     args = _parser().parse_args(argv)
     try:
-        if args.command == "analyze":
-            report = cmd_analyze(args.path, args)
-            text = (json.dumps(report.as_dict())
-                    if args.format == "structured"
-                    else "\n".join(report.text_lines()))
-        elif args.command == "decompose":
-            report = cmd_decompose(args.path, args)
-            text = (json.dumps(report)
-                    if args.format == "structured"
-                    else "\n".join(_decompose_text(report)))
-        else:
+        if args.command == "ellipsoid":
             cmd_ellipsoid(args.path, args.out_csv)
             return 0
+        command, text_of = ((cmd_analyze, _analyze_text)
+                            if args.command == "analyze"
+                            else (cmd_decompose, _decompose_text))
+        report = command(args.path, args)
+        text = (json.dumps(report) if args.format == "structured"
+                else "\n".join(text_of(report)))
     except (ChannelFileError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -450,7 +450,7 @@ def _nongeneric_frame(r, s, mu, unit_x):
     or from an eta-completion turned onto it when x is too small to
     invert. Returns the unchecked form, or None.
     """
-    if mu <= 1e-12:
+    if mu <= 0:
         return None
     scale = np.sqrt(3 * mu)
     kw, kv = np.linalg.eigh(s - mu * ETA)

@@ -393,6 +393,79 @@ def test_sphere_min_is_a_lower_bound(seed, rank, kind):
                 <= _allowance(y0, y) + 1e-14)
 
 
+@settings(max_examples=60, deadline=None)
+@given(_SEEDS, st.integers(1, 4), st.sampled_from(["chi", "a", "b"]),
+       st.integers(1, 4), st.floats(-2.0, 1.0))
+def test_any_plane_through_the_average_bounds_chi(seed, rank, kind, k,
+                                                  log_y):
+    """An affine T through (m, f(m)), m = sum w u_i, has sum w T(u_i) =
+    f(m), so f(m) - sum w f(u_i) <= max over the sphere of T - f for any
+    slope y: on channel and measurement frames, with a random y that is
+    not the gradient at m."""
+    rng = np.random.default_rng(seed)
+    if kind == "chi":
+        p = qubit.ptm(random_tp_channel(rng, 2, rank))
+        frame = (np.zeros(3), p.t, p.lam.T)
+    else:
+        frame = capacity._correlation_frame(random_density(rng, 4, rank),
+                                            kind == "b")
+    w = rng.dirichlet(np.ones(k))
+    u = rng.normal(size=(k, 3))
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    y = 10 ** log_y * rng.normal(size=3)
+    m = w @ u
+    f = capacity._frame_entropy(frame, np.vstack([m, u]))
+    low = capacity._sphere_min(frame, f[0] - y @ m, y, u)[0]
+    assert -low >= f[0] - w @ f[1:] - 1e-14
+
+
+def _family_channel(family, rng):
+    """A qubit channel of one of the families the Holevo tests cover."""
+    rank = int(rng.integers(1, 5))
+    if family == "random":
+        return random_tp_channel(rng, 2, rank)
+    if family == "unitary mixture":
+        return _unital_channel(rng.integers(2 ** 32), rank)
+    if family == "near-unitary":
+        eps = 10 ** rng.uniform(-15, -3)
+        return channel.Channel([np.sqrt(1 - eps) * random_unitary(rng, 2)]
+                               + [np.sqrt(eps) * k for k in
+                                  random_tp_channel(rng, 2, rank).kraus])
+    if family == "near-constant":
+        eps = 10 ** rng.uniform(-10, -4)
+        target = channel.replacer(random_density(rng, 2, 1 + rank % 2))
+        return channel.Channel([np.sqrt(1 - eps) * k for k in target.kraus]
+                               + [np.sqrt(eps) * k for k in
+                                  random_tp_channel(rng, 2, rank).kraus])
+    g = rng.uniform(0, 1)
+    return (channel.amplitude_damping(g) if rank % 2
+            else channel.depolarizing(g))
+
+
+@pytest.mark.parametrize("family", ["random", "unitary mixture",
+                                    "near-unitary", "near-constant",
+                                    "damping or depolarizing"])
+def test_holevo_bound_covers_the_divergence_from_the_average_output(family):
+    """The minimax bound with matrix logarithms: D(Phi(psi) || sigma), at
+    sigma the output of the ensemble's average input, stays below
+    upper_bound on a dense grid of pure inputs psi, 12 channels each."""
+    rng = np.random.default_rng(7)
+    for _ in range(12):
+        ch = _family_channel(family, rng)
+        res = capacity.holevo_chi(ch)
+        ws, vs = np.linalg.eigh(channel.apply(ch, res.ensemble.average()))
+        log_sigma = (vs * np.log2(ws)) @ vs.conj().T
+        # Phi((I + u.sigma) / 2), linear in u
+        images = np.array([channel.apply(ch, s) for s in
+                           (np.eye(2), qubit.SX, qubit.SY, qubit.SZ)])
+        out = (images[0] + np.einsum("ki,iab->kab", _DENSE, images[1:])) / 2
+        lam = np.clip(np.linalg.eigvalsh(out), 0.0, None)
+        neg_entropy = np.sum(lam * np.log2(np.where(lam > 0, lam, 1.0)),
+                             axis=1)
+        div = neg_entropy - np.einsum("kab,ba->k", out, log_sigma).real
+        assert div.max() <= res.upper_bound + 1e-12
+
+
 def test_chi_given_average_known_value():
     ch = channel.amplitude_damping(0.5)
     val = capacity.chi_given_average(ch, np.eye(2) / 2)

@@ -8,7 +8,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qchan import capacity, channel, cli, extremal
 from conftest import count_choi_factorizations, filtered_tp, \
@@ -309,6 +309,9 @@ _OTHER_CHANNELS = st.one_of(
 @settings(max_examples=40, deadline=None)
 @given(st.booleans().flatmap(lambda t: _TEMPLATES if t else _OTHER_CHANNELS),
        st.sampled_from([cli.write_kraus_file, cli.write_choi_file]))
+# 1 - g at rounding level: the non-generic form's scale^2 / 3 is 1 - g
+@example(ch=channel.amplitude_damping(0.9999999999999999),
+         write=cli.write_kraus_file)
 def test_every_analysis_runs_on_valid_channels(tmp_path_factory, ch, write):
     """A valid channel file never trips an internal self-check: analyze
     --all raises no RuntimeError on random channels of every rank, the
@@ -540,7 +543,7 @@ def test_one_parser_serves_every_call(tmp_path, capsys, monkeypatch):
     assert len(built) == 1
     for argv, report in zip(calls, reports):
         args = fresh_parser().parse_args(argv)
-        fresh = (cli.cmd_analyze(path, args).as_dict()
+        fresh = (cli.cmd_analyze(path, args)
                  if args.command == "analyze"
                  else cli.cmd_decompose(path, args))
         assert report == json.loads(json.dumps(fresh))

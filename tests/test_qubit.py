@@ -213,6 +213,17 @@ def test_slocc_amplitude_damping_nongeneric():
         assert abs(form.scale - np.sqrt(3 * (1 - g))) <= 1e-9
 
 
+# 1 - 1e-16 rounds to 0.9999999999999999, one ulp below 1
+@pytest.mark.parametrize("one_less_g", [1e-16, 1e-15, 1e-14, 1e-13, 1e-12])
+def test_slocc_amplitude_damping_near_one(one_less_g):
+    """mu = scale^2 / 3 = 1 - g falls to rounding level, yet the channel
+    is non-generic until Point takes it; x is ill-conditioned there."""
+    g = 1 - one_less_g
+    form = qubit.slocc_normal_form(channel.amplitude_damping(g))
+    assert form.kind == "NonGeneric"
+    assert abs(form.scale / np.sqrt(3 * (1 - g)) - 1) <= 1e-4
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.one_of(
     st.tuples(st.one_of(st.sampled_from([1.0, 1 - 1e-7, 1 - 3e-7, 1 - 1e-9,
