@@ -19,14 +19,14 @@ def main():
         cq = capacity.quantum_capacity_rank2_unital(channel.phase_flip(p))
         print("  p = %.2f   C_Q = %.6f" % (p, cq))
 
-    print("\nHolevo chi: an ensemble's value and the minimax upper bound")
+    print("\nHolevo chi: an ensemble's value and an upper bound")
     for name, ch in [
             ("identity", channel.identity(2)),
             ("phase flip 0.3", channel.phase_flip(0.3)),
             ("amplitude damping 0.5", channel.amplitude_damping(0.5))]:
         res = capacity.holevo_chi(ch)
-        print("  %-24s chi = %.9f  (%d-state ensemble, gap %.1e)"
-              % (name, res.chi, len(res.ensemble.items),
+        print("  %-24s chi = %.9f  (%s, %d-state ensemble, gap %.1e)"
+              % (name, res.chi, res.method, len(res.ensemble.items),
                  res.upper_bound - res.chi))
 
     print("\nwhere the depolarizing channel stops distributing entanglement")

@@ -14,16 +14,21 @@ linear program, the fidelity a primal value and its dual bound.
 
 The Holevo quantity and classical correlations are one problem in the
 Bloch picture: weights on at most four sphere directions, weighed by a
-concave entropy f(u) in the channel's or the state's Bloch frame. They
-share one route: a four-row linear program over a grid of directions,
-solved by a dense simplex, then damped Newton steps on the optimality
-conditions, which differ only in how the weighted average of the
-directions is balanced. Both bounds are the minimum over the sphere of f
-less a plane: the LP dual's for correlations, for chi the tangent plane
-at the ensemble's average. It is found by Newton steps from the best
-grid directions and the solution's own, all polished in one batch. The
-fidelity dual has three variables and is minimized by damped Newton
-steps.
+concave entropy f(u) in the channel's or the state's Bloch frame. Both
+first try the pair of antipodes on the frame's top singular axis, with
+a closed-form lower bound on f over the sphere; it certifies the closed
+forms of unital channels (King) and of states with maximally mixed
+marginals (Luo) without a search. Otherwise they share one route: a
+four-row linear program over a grid of directions, solved by a dense
+simplex, then damped Newton steps on the optimality conditions, which
+differ only in how the weighted average of the directions is balanced.
+Both bounds are then the minimum over the sphere of f less a plane: the
+LP dual's for correlations, for chi the tangent plane at the ensemble's
+average. It is found by Newton steps from the best grid directions and
+the solution's own, all polished in one batch. The fidelity dual has
+three variables and is minimized by damped Newton steps; primal
+channels are built on its top eigenspaces, smallest first, until one
+is within 1e-10 of the dual bound.
 """
 
 import numpy as np
@@ -282,9 +287,33 @@ def _sphere_min(frame, y0, y, starts):
         cand = u[live] + tau[live, None] * step[live]
         cand /= np.linalg.norm(cand, axis=1)[:, None]
     best = np.argmin(val)
+    return val[best] - y0 - _allowance(abs(y0) + np.linalg.norm(y)), u[best]
+
+
+def _allowance(affine):
+    """Rounding allowance of a sphere minimum of f less an affine part of
+    size affine = |y0| + |y|: 8 eps log2(1/eps) for f, 256 eps per unit
+    of the affine part."""
     eps = np.finfo(float).eps
-    allowance = eps * (-8 * np.log2(eps) + 256 * (abs(y0) + np.linalg.norm(y)))
-    return val[best] - y0 - allowance, u[best]
+    return eps * (-8 * np.log2(eps) + 256 * affine)
+
+
+def _axis_pair(frame):
+    """The antipodal pair +-u* on the top singular axis of T, and a lower
+    bound on min f over the sphere.
+
+    On the sphere p = 1 + a.u >= 1 - |a| and |v| <= |b| + s_max, s_max
+    the top singular value of T. p h(|v| / p), h(r) = H((1 + r) / 2),
+    falls as |v| grows and rises with p (its p-derivative is h - r h'
+    >= 0), so f >= (1 - |a|) h(min(1, (|b| + s_max) / (1 - |a|))), less
+    the rounding allowance of _sphere_min. Where a and b vanish, +-u*
+    attain it: f(+-u*) = h(s_max).
+    """
+    a, b, tt = frame
+    axes, s = np.linalg.svd(tt)[:2]
+    p = max(1 - np.linalg.norm(a), 0.0)
+    low = _perspective(p, min(p, np.linalg.norm(b) + s[0]))
+    return np.array([axes[:, 0], -axes[:, 0]]), low - _allowance(0.0)
 
 
 def _cluster(w, dirs):
@@ -450,14 +479,23 @@ def _polish_measurement(frame, c, u, y, y0, iterations=30, ensemble=False):
 # --- Holevo quantity ----------------------------------------------------------
 
 def _chi_primal_dual(frame):
-    """Ensemble (w, u) with its chi and the minimax upper bound.
+    """Ensemble (w, u) with its chi, an upper bound and the route taken.
 
-    With m = sum w u, any plane T through (m, f(m)) has sum w T(u_i) =
-    f(m), so chi = f(m) - sum w f(u_i) = sum w (T - f)(u_i) <= max over
-    the sphere of T - f, whatever T's slope. The polish ties y to grad
-    f(m), which makes T the tangent plane at m and the bound the minimax
-    one.
+    First the pair +-u* of _axis_pair, equal weights: chi <= 1 - min f
+    over the sphere, as no qubit output has entropy above 1. That closes
+    for unital channels (King), where f(0) = 1 and f(+-u*) = min f.
+    Otherwise, with m = sum w u, any plane T through (m, f(m)) has sum w
+    T(u_i) = f(m), so chi = f(m) - sum w f(u_i) = sum w (T - f)(u_i) <=
+    max over the sphere of T - f, whatever T's slope. The polish ties y
+    to grad f(m), which makes T the tangent plane at m and the bound the
+    minimax one.
     """
+    u, low = _axis_pair(frame)
+    w = np.array([0.5, 0.5])
+    f = _frame_entropy(frame, np.vstack([w @ u, u]))
+    lower, upper = f[0] - w @ f[1:], 1 - low
+    if upper - lower <= _TARGET_GAP:
+        return w, u, lower, upper, "axis pair"
     c, y0, y = _measurement_lp(frame, _GRID)
     w, u = _cluster(c, _GRID)
     for k in range(_ROUNDS):
@@ -472,7 +510,7 @@ def _chi_primal_dual(frame):
             break
         w, u = np.append(0.99 * w, 0.01), np.vstack([u, u_star])
         y0 = w @ (_frame_entropy(frame, u) - u @ y)
-    return w, u, lower, upper
+    return w, u, lower, upper, "lp-kkt minimax"
 
 
 def holevo_chi(ch):
@@ -480,25 +518,30 @@ def holevo_chi(ch):
 
     Works on the Bloch map r = t + lam u of the channel, as the frame
     (0, t, lam^T) of the sphere toolkit with f(u) = H(r), and takes the
-    route of classical correlations. A lower bound comes from a
-    pure-state ensemble (w, u): the measurement linear program over a
-    grid of input directions gives the best grid ensemble of average
-    input I / 2, merged into at most four points; damped Newton
-    (Levenberg-Marquardt) steps on the optimality conditions then polish
-    weights and directions with the average m = sum w u free and the
-    dual y tied to it, y = grad f(m). The upper bound is the sphere
-    minimum that also bounds classical correlations, of f less the
-    tangent plane T at m: chi = sum w (T - f)(u_i) <= max over the
-    sphere of T - f. T - f is D(Phi(u) || Phi(m)), so this is the
-    minimax bound of Schumacher and Westmoreland. While the gap is wide
-    the maximizer joins the ensemble and the polish runs again. The
-    ensemble is rebuilt as density matrices and its value recomputed
-    from them. Raises RuntimeError if the upper bound is more than 1e-8
-    above that value.
+    route of classical correlations. First the two inputs on the top
+    singular axis of lam, in equal weights: their chi is a lower bound,
+    and 1 less the closed-form bound of _axis_pair on min f over the
+    sphere an upper one. Within 1e-10 of each other they answer, with
+    method "axis pair", as they do for unital channels, where chi =
+    1 - H((1 + s_max) / 2) (King). Otherwise, method "lp-kkt minimax",
+    a lower bound comes from a pure-state ensemble (w, u): the
+    measurement linear program over a grid of input directions gives the
+    best grid ensemble of average input I / 2, merged into at most four
+    points; damped Newton (Levenberg-Marquardt) steps on the optimality
+    conditions then polish weights and directions with the average m =
+    sum w u free and the dual y tied to it, y = grad f(m). The upper
+    bound is the sphere minimum that also bounds classical correlations,
+    of f less the tangent plane T at m: chi = sum w (T - f)(u_i) <= max
+    over the sphere of T - f. T - f is D(Phi(u) || Phi(m)), so this is
+    the minimax bound of Schumacher and Westmoreland. While the gap is
+    wide the maximizer joins the ensemble and the polish runs again.
+    Either way the ensemble is rebuilt as density matrices and its value
+    recomputed from them. Raises RuntimeError if the upper bound is more
+    than 1e-8 above that value.
     """
     qubit._require_qubit_tp(ch)
     p = qubit.ptm(ch)
-    w, u, val, upper = _chi_primal_dual((np.zeros(3), p.t, p.lam.T))
+    w, u, val, upper, method = _chi_primal_dual((np.zeros(3), p.t, p.lam.T))
     try:
         ens = Ensemble([(wk, numkit.bloch_state(uk))
                         for wk, uk in zip(w, u)])
@@ -513,8 +556,8 @@ def holevo_chi(ch):
     _certify(recomputed, upper, "Holevo chi")
     # 0 <= chi <= 1 for a qubit; a constant channel's entropies cancel to
     # 0 or -0.0, a unitary's to 1 plus rounding
-    return ChiResult(min(max(0.0, float(recomputed)), 1.0), ens,
-                     "lp-kkt minimax", float(upper))
+    return ChiResult(min(max(0.0, float(recomputed)), 1.0), ens, method,
+                     float(upper))
 
 
 def _channel_concurrence_pair(a1, a2):
@@ -597,8 +640,14 @@ def _correlation_primal_dual(rho_ab, side):
     frame = _correlation_frame(rho_ab, measured_first)
     remote = numkit.partial_trace(rho_ab, 2, 2, 1 if measured_first else 2)
     s_remote = von_neumann_entropy(remote)
+    # sum c f(u) >= min f for every POVM; the pair closes it when a = b = 0
+    u, low = _axis_pair(frame)
+    c = np.array([0.5, 0.5])
+    cond = c @ _frame_entropy(frame, u)
     points = _GRID
     for k in range(_ROUNDS):
+        if cond - low <= _TARGET_GAP:
+            break
         c, y0, y = _measurement_lp(frame, points)
         c, u = _cluster(c, points)
         c, u, y, y0 = _polish_measurement(frame, c, u, y, y0)
@@ -606,8 +655,6 @@ def _correlation_primal_dual(rho_ab, side):
         low, u_star = _sphere_min(frame, y0, y, u)
         low += y0
         cond = c @ _frame_entropy(frame, u)
-        if cond - low <= _TARGET_GAP or k == _ROUNDS - 1:
-            break
         # the antipode makes a projective measurement along u_star feasible
         points = np.vstack([_GRID, u, u_star, -u_star])
     try:
@@ -628,17 +675,23 @@ def classical_correlations(rho_ab, side="b"):
     B (and symmetrically for side "a"). A POVM {c_i (I + u_i.sigma)}
     with sum c_i = 1 and sum c_i u_i = 0 leaves conditional entropy
     sum c_i f(u_i); rank-1 POVMs of at most four outcomes suffice for a
-    qubit. A linear program over a 400-point grid of directions, solved
-    by a four-row simplex, picks the weights, and damped Newton
-    (Levenberg-Marquardt) steps on its optimality conditions polish
-    weights and directions. Any y in R^3 gives the dual bound J <=
-    S(remote) - min over the sphere of f(u) - y.u, which holds for every
-    POVM because f is concave on the Bloch ball; the minimum comes from
-    a grid plus local polish, so the bound is exact if that finds the
-    global minimum. While the gap is wide the minimizers and their
-    antipodes join the LP and the polish runs again. The POVM is built
-    as matrices and its value recomputed from them. Raises RuntimeError
-    if the bound is more than 1e-8 above that value.
+    qubit, and every POVM leaves at least min f over the sphere. The
+    projective measurement on the top singular axis of the correlation
+    matrix T comes first, against the closed-form bound of _axis_pair on
+    min f from |a|, |b| and T's top singular value. Within 1e-10 of each
+    other they answer, as they do when both marginals are maximally
+    mixed, where J = 1 - H((1 + s_max) / 2) (Luo). Otherwise a linear
+    program over a 400-point grid of directions, solved by a four-row
+    simplex, picks the weights, and damped Newton (Levenberg-Marquardt)
+    steps on its optimality conditions polish weights and directions.
+    Any y in R^3 gives the dual bound J <= S(remote) - min over the
+    sphere of f(u) - y.u, which holds for every POVM because f is
+    concave on the Bloch ball; the minimum comes from a grid plus local
+    polish, so the bound is exact if that finds the global minimum.
+    While the gap is wide the minimizers and their antipodes join the LP
+    and the polish runs again. The POVM is built as matrices and its
+    value recomputed from them. Raises RuntimeError if the bound is more
+    than 1e-8 above that value.
     """
     rho_ab = numkit.require_density(rho_ab, 4)[0]
     if side not in ("a", "b"):
@@ -757,15 +810,14 @@ def _channel_on(w, m):
     return [a @ (kv / np.sqrt(kw)) @ kv.conj().T for a in ks]
 
 
-def _fidelity_primal_dual(m):
-    """Certified maximum of Tr(C M) over Choi matrices C of qubit channels.
+def _fidelity_dual(m):
+    """The dual bound on max Tr(C M) and the eigenvectors of M - Z (x) I
+    at the dual optimum, in ascending order of eigenvalue.
 
     The dual, min Tr Y s.t. Y (x) I >= M, becomes the minimum over z in R^3
     of 2 lam_max(M - (z . sigma) (x) I) with Y = Z + lam_max(M - Z (x) I) I
     and Z = z . sigma traceless. Damped Newton steps minimize a smoothed
-    maximum at falling temperatures. The primal channel lives on the top
-    eigenspace of M - Z (x) I; each eigenspace dimension is tried, the
-    best kept. Returns (primal value, dual bound, Channel).
+    maximum at falling temperatures.
     """
     z, radius = np.zeros(3), 1.0
     for t in _TEMPERATURES:
@@ -774,13 +826,34 @@ def _fidelity_primal_dual(m):
         radius = t
     w, v = np.linalg.eigh(m - np.tensordot(z, _PAULI_IN[1:], 1))
     # allowance for eigenvalue rounding, so the bound stays a bound
-    bound = 2 * (w[-1] + 16 * np.finfo(float).eps * max(np.abs(w).max(), 1))
-    cands = [ks for ks in (_channel_on(v[:, k:], m) for k in range(4)) if ks]
-    if not cands:
+    return 2 * (w[-1] + 16 * np.finfo(float).eps * max(np.abs(w).max(), 1)), v
+
+
+def _fidelity_primal_dual(m):
+    """Certified maximum of Tr(C M) over Choi matrices C of qubit channels.
+
+    The bound is _fidelity_dual's. The primal channel lives on the top
+    eigenspace of M - Z (x) I, whose dimension the dual leaves open: the
+    spans of the top 1, 2, 3 and 4 eigenvectors are tried in turn, and
+    the first channel within _TARGET_GAP of the bound is taken. When none
+    is, the best of the four is. Returns (primal value, dual bound,
+    Channel).
+    """
+    bound, v = _fidelity_dual(m)
+    best, best_val = None, -np.inf
+    for k in range(3, -1, -1):
+        ks = _channel_on(v[:, k:], m)
+        if ks is None:
+            continue
+        val = np.trace(channel.choi_matrix(ks) @ m).real
+        if val > best_val:
+            best, best_val = ks, val
+        if bound - val <= _TARGET_GAP:
+            break
+    if best is None:
         raise RuntimeError("no trace-preserving channel on the top "
                            "eigenspaces of the dual")
-    ch = channel.Channel(max(cands, key=lambda ks: np.trace(
-        channel.choi_matrix(ks) @ m).real))
+    ch = channel.Channel(best)
     return float(np.trace(ch.choi @ m).real), float(bound), ch
 
 

@@ -85,7 +85,7 @@ def test_quantum_capacity_hypothesis_gates():
 def test_holevo_chi_identity_exact():
     res = capacity.holevo_chi(channel.identity(2))
     assert res.chi == 1.0
-    assert res.method == "lp-kkt minimax"
+    assert res.method == "axis pair"
     assert 0 <= res.upper_bound - res.chi <= 1e-8
 
 
@@ -179,13 +179,18 @@ def test_holevo_chi_certified(seed, rank):
 
 @settings(max_examples=30, deadline=None)
 @given(_SEEDS, st.integers(1, 4))
+# unitaries: s_max = 1, chi = 1
+@example(0, 1)
+@example(5, 1)
 def test_holevo_chi_unital_closed_form(seed, m):
-    """King-Ruskai: chi = 1 - H((1 + max |lambda_i|) / 2) when unital."""
+    """King-Ruskai: chi = 1 - H((1 + max |lambda_i|) / 2) when unital,
+    answered by the axis pair alone."""
     ch = _unital_channel(seed, m)
     res = capacity.holevo_chi(ch)
     top = np.linalg.svd(qubit.ptm(ch).lam, compute_uv=False)[0]
     assert abs(res.chi - (1 - capacity.binary_entropy((1 + top) / 2))) <= 1e-8
-    assert 0 <= res.upper_bound - res.chi <= 1e-8
+    assert res.method == "axis pair"
+    assert 0 <= res.upper_bound - res.chi <= capacity._TARGET_GAP
 
 
 @settings(max_examples=10, deadline=None)
@@ -326,6 +331,11 @@ def _sphere_min_by_loop(frame, y0, y, starts):
     return val - y0 - _allowance(y0, y), u
 
 
+def _declining_pair(frame, axis_pair=capacity._axis_pair):
+    """capacity._axis_pair with a bound that certifies nothing."""
+    return axis_pair(frame)[0], -np.inf
+
+
 def _recorded_sphere_mins(run, *args):
     """The arguments (frame, y0, y, starts) of each capacity._sphere_min
     call that run(*args) makes."""
@@ -352,9 +362,10 @@ def test_sphere_min_matches_one_start_at_a_time():
     calls = []
     for seed in range(60):
         rng = np.random.default_rng(seed)
+        # rank 1 (unitaries, pure states) is answered by the axis pair
         calls += _recorded_sphere_mins(
-            capacity.holevo_chi, random_tp_channel(rng, 2, 1 + seed % 4))
-        rho = random_density(rng, 4, 1 + seed % 4)
+            capacity.holevo_chi, random_tp_channel(rng, 2, 2 + seed % 3))
+        rho = random_density(rng, 4, 2 + seed % 3)
         for side in "ab":
             calls += _recorded_sphere_mins(
                 capacity.classical_correlations, rho, side)
@@ -378,14 +389,19 @@ _DENSE = capacity._fibonacci_sphere(20000)
 def test_sphere_min_is_a_lower_bound(seed, rank, kind):
     """On the calls of the solvers, the bound lies below f - y0 - y.u on a
     dense grid, and the direction returned attains it up to the
-    rounding allowance."""
+    rounding allowance. The axis pair is made to decline, so that rank-1
+    inputs, whose remote states are pure, still reach the sphere
+    minimum."""
     rng = np.random.default_rng(seed)
-    if kind == "chi":
-        calls = _recorded_sphere_mins(capacity.holevo_chi,
-                                      random_tp_channel(rng, 2, rank))
-    else:
-        calls = _recorded_sphere_mins(capacity.classical_correlations,
-                                      random_density(rng, 4, rank), kind)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(capacity, "_axis_pair", _declining_pair)
+        if kind == "chi":
+            calls = _recorded_sphere_mins(capacity.holevo_chi,
+                                          random_tp_channel(rng, 2, rank))
+        else:
+            calls = _recorded_sphere_mins(capacity.classical_correlations,
+                                          random_density(rng, 4, rank), kind)
+    assert calls
     for frame, y0, y, starts in calls:
         low, u = capacity._sphere_min(frame, y0, y, starts)
         assert low <= _objective(frame, y0, y, _DENSE).min()
@@ -546,13 +562,23 @@ def test_fidelity_optimize_bell():
     assert np.linalg.matrix_rank(ch.choi, tol=1e-6) <= 2
 
 
-def test_fidelity_optimize_werner_identity_optimal():
-    """x Bell + (1-x) I/4: no one-sided map beats doing nothing."""
+def test_fidelity_optimize_werner_identity_optimal(monkeypatch):
+    """x Bell + (1-x) I/4: no one-sided map beats doing nothing. The
+    identity lives on the top eigenvector alone and certifies, so one
+    candidate channel is built."""
     x = 0.6
     rho = x * bell_state() + (1 - x) * np.eye(4) / 4
     f0 = x + (1 - x) / 4
+    built, real = [], capacity._channel_on
+
+    def record(w, m):
+        built.append(w.shape[1])
+        return real(w, m)
+
+    monkeypatch.setattr(capacity, "_channel_on", record)
     f, _ = capacity.fidelity_optimize_one_side(rho)
     assert abs(f - f0) < 1e-6
+    assert built == [1]
 
 
 def test_fidelity_optimize_enhancement():
@@ -603,9 +629,14 @@ _TWO_QUBIT_STATES = st.one_of(
 @given(_TWO_QUBIT_STATES)
 def test_fidelity_optimize_certified(rho):
     f, ch = capacity.fidelity_optimize_one_side(rho)
-    primal, dual, _ = capacity._fidelity_primal_dual(
-        capacity._fidelity_weight_matrix(rho))
+    m = capacity._fidelity_weight_matrix(rho)
+    primal, dual, _ = capacity._fidelity_primal_dual(m)
     assert primal == f
+    # the first certified candidate is as good as the best of all four
+    v = capacity._fidelity_dual(m)[1]
+    best = max(np.trace(channel.choi_matrix(ks) @ m).real for ks in (
+        capacity._channel_on(v[:, k:], m) for k in range(4)) if ks)
+    assert f >= best - capacity._TARGET_GAP
     ks = ch.kraus
     assert np.abs(sum(a.conj().T @ a for a in ks) - np.eye(2)).max() <= 1e-12
     out = sum(np.kron(np.eye(2), a) @ rho @ np.kron(np.eye(2), a).conj().T
@@ -719,24 +750,86 @@ def test_classical_correlations_certified(rho, side):
     assert value <= _remote_entropy_left(rho, [], side) + 1e-9
 
 
+def _bell_diagonal(seed, bell=None):
+    """A Bell-diagonal state of random weights, or the Bell state of
+    index bell."""
+    rng = np.random.default_rng(seed)
+    p = (rng.dirichlet(np.full(4, rng.choice([0.2, 1.0, 5.0])))
+         if bell is None else np.eye(4)[bell])
+    return (_BELLS.T * p) @ _BELLS
+
+
+def _never_called(*args):
+    raise AssertionError("the measurement LP ran")
+
+
 @settings(max_examples=40, deadline=None)
-@given(_SEEDS, st.sampled_from("ab"))
+@given(_SEEDS, st.sampled_from("ab"), st.one_of(st.none(),
+                                                st.integers(0, 3)))
 # the two largest |c_i| nearly tie; the LP once lacked the antipode of
 # the dual minimizer and left the optimum uncertified
-@example(131165828, "b")
-@example(1775643386, "a")
-@example(99980892, "a")
-def test_classical_correlations_bell_diagonal_closed_form(seed, side):
+@example(131165828, "b", None)
+@example(1775643386, "a", None)
+@example(99980892, "a", None)
+# pure Bell states: s_max = 1, J = 1
+@example(0, "a", 0)
+@example(1, "b", 3)
+def test_classical_correlations_bell_diagonal_closed_form(seed, side, bell):
     """Luo: J = 1 - H((1 + max |c_i|) / 2) for Bell-diagonal states, with
-    c_i = Tr(rho sigma_i (x) sigma_i); local unitaries leave J alone."""
-    rng = np.random.default_rng(seed)
-    p = rng.dirichlet(np.full(4, rng.choice([0.2, 1.0, 5.0])))
-    rho = (_BELLS.T * p) @ _BELLS
+    c_i = Tr(rho sigma_i (x) sigma_i); local unitaries leave J alone.
+    The axis pair answers, without the measurement LP."""
+    rho = _bell_diagonal(seed, bell)
     c = [np.trace(rho @ np.kron(s, s)).real
          for s in (qubit.SX, qubit.SY, qubit.SZ)]
     want = 1 - capacity.binary_entropy((1 + np.abs(c).max()) / 2)
-    val = capacity.classical_correlations(_locally_rotated(rho, seed), side)
+    rho = _locally_rotated(rho, seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(capacity, "_measurement_lp", _never_called)
+        val = capacity.classical_correlations(rho, side)
+        value, bound, _ = capacity._correlation_primal_dual(rho, side)
     assert abs(val - want) <= 1e-9
+    assert 0 <= bound - value <= capacity._TARGET_GAP
+
+
+def _perturbed_unital(seed, log_e):
+    """(1 - e) U + e R, U a unital channel and R a replacer to a pure
+    state: |t| = e."""
+    rng = np.random.default_rng(seed)
+    e = 10 ** log_e
+    base = _unital_channel(rng.integers(2 ** 32), int(rng.integers(1, 5)))
+    target = channel.replacer(random_density(rng, 2, 1))
+    return channel.Channel([np.sqrt(1 - e) * k for k in base.kraus]
+                           + [np.sqrt(e) * k for k in target.kraus])
+
+
+def _perturbed_bell_diagonal(seed, log_e):
+    """(1 - e) rho + e sigma_A (x) sigma_B, rho Bell-diagonal and sigma_A,
+    sigma_B pure, locally rotated: |a| = |b| = e."""
+    rng = np.random.default_rng(seed)
+    e = 10 ** log_e
+    product = np.kron(random_density(rng, 2, 1), random_density(rng, 2, 1))
+    rho = (1 - e) * _bell_diagonal(rng.integers(2 ** 32)) + e * product
+    return _locally_rotated(rho, seed)
+
+
+def _solved(kind, x):
+    if kind == "chi":
+        return capacity.holevo_chi(x).chi
+    return capacity.classical_correlations(x, kind)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_SEEDS, st.floats(-4, -1), st.sampled_from(["chi", "a", "b"]))
+def test_axis_pair_falls_back_off_the_closed_forms(seed, log_e, kind):
+    """Unital channels and Bell-diagonal states pushed off the closed
+    forms, |t| or |a| = |b| in [1e-4, 1e-1]: chi and J equal the values
+    of the linear-program route, taken with the axis pair declining."""
+    x = (_perturbed_unital if kind == "chi"
+         else _perturbed_bell_diagonal)(seed, log_e)
+    value = _solved(kind, x)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(capacity, "_axis_pair", _declining_pair)
+        assert abs(value - _solved(kind, x)) <= capacity._TARGET_GAP
 
 
 def test_classical_correlations_raises_on_a_wide_gap(monkeypatch):
