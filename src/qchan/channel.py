@@ -75,15 +75,19 @@ class Channel:
 
 
 def kraus_from_choi(c):
-    """Minimal Kraus list of a raw Choi matrix (a Channel's: minimal_kraus).
+    """Kraus list of a raw Choi matrix (a Channel's: minimal_kraus).
 
-    The operators are the reshaped columns of numkit.sqrt_psd, rescaled
+    The operators are the reshaped columns of numkit.psd_factor, rescaled
     eigenvectors, hence pairwise orthogonal in the Hilbert-Schmidt inner
-    product, and their count equals the numerical rank. A matrix that is
-    not PSD is not a valid CP dual state and raises.
+    product. Their count is the rank at a cut of TP_TOL / n^2: the at most
+    n^2 eigenvalues dropped move no entry of sum A^dag A by TP_TOL, so a
+    trace-preserving matrix loads as one (psd_floor's rank cut, 1e-9, can
+    move it by more). A matrix that is not PSD is not a valid CP dual
+    state and raises.
     """
     n = math.isqrt(len(c))
-    return [x.reshape(n, n).T for x in numkit.sqrt_psd(c).T]
+    x = numkit.psd_factor(*numkit.eigh(c), tol=TP_TOL / n ** 2)
+    return [col.reshape(n, n).T for col in x.T]
 
 
 def minimal_kraus(ch):

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-HERM_TOL = 1e-12  # relative: Hermiticity (and takagi's symmetry)
+HERM_TOL = 1e-12  # relative: Hermiticity, takagi's symmetry and zero floor
 PSD_TOL = 1e-9  # relative: the rounding floor of psd_floor
 
 # I, sigma_x, sigma_y, sigma_z: the one set of Pauli matrices
@@ -162,58 +162,33 @@ def svd(m):
     return u, s, v
 
 
-_FRAME_MIX = np.sqrt(2.0) - 0.5  # generic: X + c Y splits what z splits
-
-
-def _symmetric_unitary_root(z):
-    """Symmetric unitary q with q q = z, for a symmetric unitary z.
-
-    z = X + iY with X, Y real symmetric and commuting (z z^dag = I), so
-    one real orthogonal O diagonalizes both: O comes from X + c Y at a
-    generic c. Then q = O diag(root) O^T, symmetric by construction.
-    Each eigenphase takes its root with the branch cut through the
-    widest gap between the phases: any choice of signs squares to z, but
-    this one gives a cluster straddling -1 one root, so q stays
-    continuous in z. A z that is not symmetric (the coupling of a zero
-    singular value is arbitrary) still gets a symmetric unitary q.
-    """
-    o = np.linalg.eigh(z.real + _FRAME_MIX * z.imag)[1]
-    phase = np.angle(np.einsum("ij,ik,kj->j", o, z, o))
-    ring = np.sort(phase)
-    gaps = np.diff(np.append(ring, ring[0] + 2 * np.pi))
-    cut = ring[np.argmax(gaps)] + gaps.max() / 2
-    phase = cut - np.mod(cut - phase, 2 * np.pi)
-    return (o * np.exp(0.5j * phase)) @ o.T
-
-
 def takagi(s):
     """Factor a complex symmetric matrix as s = V diag(sig) V^T.
 
     Returns (v, sig) with sig nonnegative descending and v unitary; s
-    must be symmetric within HERM_TOL. Built on the SVD: group columns by
-    singular-value multiplicity, then absorb the symmetric unitary
-    coupling Z = U_g^T V_g of each group through a symmetric unitary
-    square root.
+    must be symmetric within HERM_TOL. One real symmetric eigensolve:
+    s conj(v) = sig v with v = x + iy reads M [x; y] = sig [x; y] for
+    M = [[Re s, Im s], [Im s, -Re s]], whose spectrum is +-sig, so the
+    top n eigenvectors are Takagi vectors for any multiplicity of sig.
+    sig at the rounding floor HERM_TOL * scale, where +0 and -0 mix, is
+    set to 0. A QR of v then makes it unitary to rounding: the columns
+    of a small kept sig come out of eigh orthogonal only to about
+    rounding / sig, and those of a zeroed sig, which are free, may even
+    repeat one another times i. R's diagonal is real, so a kept column
+    changes by a sign and that rounding-sized correction at most.
     """
     s = np.asarray(s, dtype=complex)
+    n = len(s)
     scale = max(np.abs(s).max(), 1.0)
     if np.abs(s - s.T).max() > HERM_TOL * scale:
         raise ValueError("takagi needs a symmetric matrix")
-    u, sig, v = svd(s)
-    # cluster equal singular values; exact degeneracy makes Z non-diagonal
-    groups = []
-    for k in range(sig.size):
-        if groups and sig[groups[-1][0]] - sig[k] <= 1e-8 * scale:
-            groups[-1].append(k)
-        else:
-            groups.append([k])
-    q = np.zeros((sig.size, sig.size), dtype=complex)
-    for g in groups:
-        q[np.ix_(g, g)] = _symmetric_unitary_root(u[:, g].T @ v[:, g])
-    vt = u @ q.conj()
-    if np.abs((vt * sig) @ vt.T - s).max() > 1e-10 * scale:
+    w, q = np.linalg.eigh(np.block([[s.real, s.imag], [s.imag, -s.real]]))
+    sig, top = w[n:][::-1], q[:, n:][:, ::-1]
+    sig = np.where(sig > HERM_TOL * scale, sig, 0.0)
+    v = np.linalg.qr(top[:n] + 1j * top[n:])[0]
+    if np.abs((v * sig) @ v.T - s).max() > 1e-10 * scale:
         raise RuntimeError("takagi reconstruction residual too large")
-    return vt, sig
+    return v, sig
 
 
 def psd_floor(w):

@@ -693,40 +693,25 @@ def _concurrence_of(sig):
 
 
 def _closing_phases(sig):
-    """Phases phi with sum_k sig_k exp(2i phi_k) = 0.
+    """Phases phi with sum_k sig_k exp(2i phi_k) = 0 for descending sig
+    with sig_0 <= sig_1 + sig_2 + ..., the separable branch's condition.
 
-    Exists whenever no sigma exceeds the sum of the others: split into
-    three groups with balanced sums (greedy), then close the triangle of
-    group sums by the law of cosines.
+    Then sig_0, sig_1 and the sum of the rest are the sides of a triangle
+    (the rest is at most 2 sig_1 <= sig_0 + sig_1), here scaled to 1, b
+    and c: side 1 lies along 0, b turns by pi less the angle g between
+    the two, and the rest share the closing angle. g comes from the
+    half-angle form of the law of cosines, tan^2(g / 2) =
+    (c - 1 + b)(c + 1 - b) / ((1 + b)^2 - c^2), which keeps its digits on
+    flat triangles. If sig_1 = 0, every sig is 0 up to the branch's
+    rounding, and any phases do.
     """
-    r = sig.size
-    groups = [[], [], []]
-    sums = np.zeros(3)
-    for k in np.argsort(-sig):
-        j = int(np.argmin(sums))
-        groups[j].append(k)
-        sums[j] += sig[k]
-    a, b, c = sums
-    if a > b + c + 1e-12:
-        raise ValueError("no closing phases exist")
-    if a < 1e-15:
-        return np.zeros(r)
-    # triangle with sides a, b, c; zero-length sides need no angle
-    if b < 1e-15 and c < 1e-15:
-        return np.zeros(r)
-    if c < 1e-15:
-        ang = np.array([0.0, np.pi, 0.0])
-    else:
-        cos_g = np.clip((a * a + b * b - c * c) / (2 * a * b), -1, 1)
-        v1 = a
-        v2 = b * np.exp(1j * (np.pi - np.arccos(cos_g)))
-        v3 = -(v1 + v2)
-        ang = np.array([0.0, np.angle(v2), np.angle(v3)])
-    phases = np.zeros(r)
-    for j in range(3):
-        for k in groups[j]:
-            phases[k] = ang[j] / 2
-    return phases
+    if sig.size < 2 or sig[1] == 0:
+        return np.zeros(sig.size)
+    b, c = sig[1] / sig[0], sig[2:].sum() / sig[0]
+    g = 2 * np.arctan2(np.sqrt(max(c - (1 - b), 0.0) * (c + (1 - b))),
+                       np.sqrt((1 + b + c) * (1 + b - c)))
+    rest = np.angle(b * np.exp(-1j * g) - 1)
+    return np.append([0.0, np.pi - g], np.full(sig.size - 2, rest)) / 2
 
 
 def _zero_diagonal_rotation(k):
@@ -786,10 +771,13 @@ class ConcurrenceDecomp:
 def equal_concurrence_decomposition(rho):
     """Split a two-qubit state into pure states of equal concurrence.
 
-    Square root, Takagi rotation to diagonal preconcurrence, then either
+    Wootters' construction: a square root x of rho, turned by Takagi
+    vectors of x^T (sy x sy) x to a diagonal preconcurrence, then either
     the phase trick plus exact diagonal-zeroing rotations (entangled
-    case) or closing phases plus a Hadamard frame (separable case, where
-    rank 3 is handled by zero-padding to the 4x4 Hadamard).
+    case, C > 1e-12) or closing phases plus a Hadamard frame (separable
+    case). Either gives rank(rho) states, but for a separable rank-3 rho,
+    zero-padded to the 4x4 Hadamard: 4. Where Takagi vectors are not
+    unique (repeated singular values), the states are one choice of many.
     """
     return _equal_concurrence(
         numkit.psd_factor(*numkit.require_density(rho, 4)[1:], tol=1e-13))

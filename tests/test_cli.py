@@ -45,6 +45,38 @@ def test_load_kraus_and_choi_files(tmp_path):
         assert np.abs(back.choi - src.choi).max() < 1e-10
 
 
+@pytest.mark.parametrize("d", [1e-10, 3e-10, 7e-10])
+def test_choi_file_keeps_a_small_eigenvalue(tmp_path, d):
+    """depolarizing(4/3 - d) has a least Choi eigenvalue of 3d / 2, under
+    the 1e-9 rank cut; dropping it would miss the trace condition."""
+    src = channel.depolarizing(4 / 3 - d)
+    path = str(tmp_path / "c.json")
+    cli.write_choi_file(path, src)
+    back, _ = cli.load_channel_file(path)
+    assert channel.is_tp(back)
+    assert np.abs(back.choi - src.choi).max() < 1e-12
+
+
+def test_qutrit_choi_file_near_full_rank_answers_every_analysis(tmp_path,
+                                                                capsys):
+    """(1 - eps) C_8 + eps I / 3, C_8 the Choi matrix of a rank-8 qutrit
+    channel: its least eigenvalue, near eps / 3 = 8e-10, is under the rank
+    cut, yet the file loads trace-preserving and nothing is skipped."""
+    eps = 2.4e-9
+    ks = random_tp_channel(np.random.default_rng(9), 3, 8).kraus
+    mix = [np.sqrt(1 - eps) * k for k in ks] + [
+        np.sqrt(eps) * k for k in channel.completely_depolarizing(3).kraus]
+    path = str(tmp_path / "c.json")
+    cli.write_choi_file(path, channel.Channel(mix))
+    ch, _ = cli.load_channel_file(path)
+    assert channel.is_tp(ch)
+    assert run(["analyze", path, "--all", "--format", "structured"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["extremality"]["extremal"] is False
+    assert "f_max" in results["fidelity"]
+    assert run(["decompose", path]) == 0
+
+
 def test_load_plain_real_entries(tmp_path):
     # plain numbers are accepted wherever [re, im] pairs are, also
     # mixed with them in one matrix

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qchan import capacity, channel, extremal, numkit, qubit
 from conftest import random_density, random_unitary
@@ -156,32 +156,58 @@ def test_takagi_repeated_minus_one():
     assert np.abs(v.conj().T @ v - np.eye(3)).max() < 1e-10
 
 
-def test_symmetric_unitary_root_keeps_a_cluster_whole():
-    """Phases pi -+ 1e-9 straddle the principal branch cut; they get one
-    root, so the root of a near-scalar z stays near-scalar."""
-    o = np.linalg.qr(np.random.default_rng(3).normal(size=(2, 2)))[0]
-    z = o @ np.diag(np.exp(1j * np.pi * np.array([1 - 1e-9, 1 + 1e-9]))) @ o.T
-    q = numkit._symmetric_unitary_root(z)
-    assert np.abs(q @ q - z).max() < 1e-12
-    assert np.abs(q - q[0, 0] * np.eye(2)).max() < 1e-8
-
-
 _HALF_TURNS = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 1.5, 1 + 1e-9,
                                          1 - 1e-9]),
                         st.floats(0, 2))
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 4), st.data())
-def test_takagi_symmetric_unitaries(seed, n, data):
+@given(st.integers(0, 2 ** 32 - 1),
+       st.lists(_HALF_TURNS, min_size=2, max_size=4))
+@example(3, [1 - 1e-9, 1 + 1e-9])
+def test_takagi_symmetric_unitaries(seed, k):
     """o diag(exp(i pi k)) o^T for a real orthogonal o: one singular
-    value n times over, with clustered and repeated phases."""
+    value n times over, with clustered and repeated phases; the pinned
+    phases pi -+ 1e-9 straddle the principal branch cut."""
+    n = len(k)
     o = np.linalg.qr(np.random.default_rng(seed).normal(size=(n, n)))[0]
-    k = np.array(data.draw(st.lists(_HALF_TURNS, min_size=n, max_size=n)))
-    a = o @ np.diag(np.exp(1j * np.pi * k)) @ o.T
+    a = o @ np.diag(np.exp(1j * np.pi * np.array(k))) @ o.T
     v, s = numkit.takagi(a)
+    assert np.abs(s - 1).max() < 1e-12
     assert np.abs(v @ np.diag(s) @ v.T - a).max() < 1e-10
     assert np.abs(v.conj().T @ v - np.eye(n)).max() < 1e-10
+
+
+@st.composite
+def _takagi_spectra(draw):
+    """1 to 4 values from at most two levels and 0, each level repeated
+    exactly or within a relative 1e-9: zeros of every multiplicity, the
+    all-zero spectrum included."""
+    levels = draw(st.lists(st.floats(0, 10), max_size=2)) + [0.0]
+    pick = st.tuples(st.sampled_from(levels),
+                     st.sampled_from([0.0, 1e-9, -1e-9]))
+    sig = [x * (1 + d) for x, d in draw(st.lists(pick, min_size=1,
+                                                 max_size=4))]
+    return np.sort(sig)[::-1]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), _takagi_spectra())
+@example(0, np.zeros(4))
+@example(1, np.array([1.0, 1.0, 0.0, 0.0]))
+@example(2, np.array([2.0, 2.0 * (1 - 1e-9), 1e-11]))
+def test_takagi_repeated_and_zero_singular_values(seed, sig):
+    """s = U diag(sig) U^T for a Haar U: takagi returns sig, descending,
+    and a unitary V that rebuilds s."""
+    n = sig.size
+    u = random_unitary(np.random.default_rng(seed), n)
+    a = (u * sig) @ u.T
+    scale = max(np.abs(a).max(), 1.0)
+    v, s = numkit.takagi(a)
+    assert np.all(np.diff(s) <= 0)
+    assert np.abs(s - sig).max() <= 1e-12 * scale
+    assert np.abs((v * s) @ v.T - a).max() <= 1e-10 * scale
+    assert np.abs(v.conj().T @ v - np.eye(n)).max() <= 1e-10
 
 
 def test_sqrt_psd():

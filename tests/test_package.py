@@ -2,6 +2,7 @@ import ast
 import glob
 import json
 import os
+import re
 import subprocess
 import sys
 import types
@@ -146,6 +147,38 @@ def test_qutrit_routes_leave_the_blas_pool_idle(tmp_path):
         pytest.skip("numpy runs without worker threads")
     assert out["codes"] == [0, 0]
     assert out["gain"] < 0.03
+
+
+def _top_level_imports(path):
+    """The first dotted part of every absolute import in a file."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="reads pyproject.toml with tomllib")
+def test_test_imports_are_declared():
+    """Every third-party module the tests import is a dependency or in
+    the test extra, so `pip install .[test]` can run the suite."""
+    import tomllib
+    here = os.path.dirname(os.path.abspath(__file__))
+    with open(os.path.join(here, os.pardir, "pyproject.toml"), "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    declared = {re.match(r"[\w.-]+", req).group().lower()
+                for req in project["dependencies"]
+                + project["optional-dependencies"]["test"]}
+    files = glob.glob(os.path.join(here, "*.py"))
+    local = {os.path.basename(path)[:-3] for path in files} | {"qchan"}
+    imported = set().union(*map(_top_level_imports, files))
+    assert {"hypothesis", "numpy", "pytest", "scipy"} <= imported
+    assert imported - set(sys.stdlib_module_names) - local <= declared
 
 
 DEMOS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), os.pardir,

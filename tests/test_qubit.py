@@ -575,15 +575,21 @@ def test_equal_concurrence_separable():
             assert 2 * abs(s[0] * s[3] - s[1] * s[2]) < 1e-8
 
 
+def _product_mixture(rng, rank):
+    """A mixture of `rank` random product pure states."""
+    rho = np.zeros((4, 4), dtype=complex)
+    for w in rng.dirichlet(np.ones(rank)):
+        v = np.kron(random_pure(rng, 2), random_pure(rng, 2))
+        rho += w * np.outer(v, v.conj())
+    return rho
+
+
 def test_equal_concurrence_separable_rank_three():
     """Mixtures of three product pure states: rank 3, zero-padded to
     the 4 x 4 Hadamard frame."""
     rng = np.random.default_rng(16)
     for _ in range(50):
-        rho = np.zeros((4, 4), dtype=complex)
-        for w in rng.dirichlet(np.ones(3)):
-            v = np.kron(random_pure(rng, 2), random_pure(rng, 2))
-            rho += w * np.outer(v, v.conj())
+        rho = _product_mixture(rng, 3)
         assert np.linalg.matrix_rank(rho, tol=1e-10) == 3
         dec = qubit.equal_concurrence_decomposition(rho)
         assert dec.c == 0.0
@@ -592,6 +598,97 @@ def test_equal_concurrence_separable_rank_three():
         assert np.abs(rebuilt - rho).max() < 1e-10
         for s in dec.states:
             assert 2 * abs(s[0] * s[3] - s[1] * s[2]) < 1e-8
+
+
+@st.composite
+def _closable(draw):
+    """Descending sig of size 1 to 4 with sig_0 <= sig_1 + sig_2 + ...:
+    sig_0 often at that sum, and zero tails of every length. No
+    subnormals: summed there, the check itself has fewer digits than it
+    asks for."""
+    size = st.floats(0, 1, allow_subnormal=False)
+    rest = sorted(draw(st.lists(st.one_of(st.just(0.0), size),
+                                max_size=3)), reverse=True)
+    if not rest:
+        return np.zeros(1)
+    t = draw(st.one_of(st.just(1.0), st.floats(0, 1)))
+    return np.array([rest[0] + t * (sum(rest) - rest[0])] + rest)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_closable())
+@example(np.zeros(4))
+@example(np.array([0.5, 0.5, 0.0]))
+@example(np.array([0.722801361, 0.722801361, 4.95476441e-05]))
+def test_closing_phases_close(sig):
+    """The phases close sum_k sig_k exp(2i phi_k) to rounding, flat
+    triangles too: the last example turns sig_1 by 7e-5 short of pi,
+    where the law of cosines read through arccos loses 4 digits."""
+    phi = qubit._closing_phases(sig)
+    assert phi.shape == sig.shape
+    assert abs(np.sum(sig * np.exp(2j * phi))) <= 1e-14 * sig.sum()
+
+
+_BELL_BASIS = np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0],
+                        [0, 1, -1, 0]]) / np.sqrt(2)
+
+
+def _bell_mixture(w, rng):
+    """Bell states with weights w (1 to 4 of them) under random local
+    unitaries, of concurrence max(0, 2 max(w) - 1)."""
+    x = np.kron(random_unitary(rng, 2), random_unitary(rng, 2)) @ (
+        _BELL_BASIS[:len(w)].T * np.sqrt(w))
+    return x @ x.conj().T
+
+
+def _werner_like(p, k):
+    """Weight (1 + 3p) / 4 on one Bell state and 3(1 - p) / 4 spread
+    evenly over k others, as in the Werner state for k = 3: rank k + 1,
+    k repeated preconcurrence singular values, and at p = 1/3 sig_0 equal
+    to the sum of the rest."""
+    return np.array([1 + 3 * p] + [3 * (1 - p) / k] * k) / 4
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("delta", [0.0, 1e-15, -1e-15, 1e-12, -1e-12,
+                                   1e-9, -1e-9])
+def test_equal_concurrence_at_the_werner_threshold(delta, k):
+    """Near p = 1/3 sig_0 meets the sum of the rest: states on both sides
+    of the separable branch's cut rebuild rho, and every state has the
+    concurrence C."""
+    w = _werner_like(1 / 3 + delta, k)
+    rho = _bell_mixture(w, np.random.default_rng(k))
+    dec = qubit.equal_concurrence_decomposition(rho)
+    assert abs(dec.c - max(0.0, 2 * w.max() - 1)) <= 1e-12
+    rebuilt = sum(wi * np.outer(s, s.conj())
+                  for wi, s in zip(dec.weights, dec.states))
+    assert np.abs(rebuilt - rho).max() <= 1e-12
+    for s in dec.states:
+        assert abs(2 * abs(s[0] * s[3] - s[1] * s[2]) - dec.c) <= 1e-12
+
+
+def test_decomposition_sizes():
+    """rank(rho) pure states, but 4 for a separable rank-3 rho (zero-padded
+    to the 4 x 4 Hadamard frame); the contraction form of a channel has
+    as many Kraus operators as its dual state has states."""
+    rng = np.random.default_rng(24)
+    for rank in range(1, 5):
+        states = [random_density(rng, 4, rank), _product_mixture(rng, rank)]
+        if rank > 1:
+            states += [_bell_mixture(_werner_like(p, rank - 1), rng)
+                       for p in (0.2, 0.6)]
+        for rho in states:
+            dec = qubit.equal_concurrence_decomposition(rho)
+            want = 4 if rank == 3 and dec.c == 0 else rank
+            assert len(dec.states) == want
+    chans = [random_tp_channel(rng, 2, m) for m in (1, 2, 3, 4)] + [
+        pauli_channel(*s) for s in ((1, 1, 1), (1, 0, 0), (0.5, 0, 0),
+                                    (0.2, 0.2, 0.2), (0.6, 0.6, 0.6))]
+    for ch in chans:
+        rank = channel.rank(ch)
+        dec = qubit.kraus_contraction_form(ch)
+        want = 4 if rank == 3 and dec.c == 0 else rank
+        assert len(dec.kraus) == want
 
 
 def test_kraus_contraction_form():
