@@ -18,14 +18,17 @@ concave entropy f(u) in the channel's or the state's Bloch frame. Both
 first try the pair of antipodes on the frame's top singular axis, with
 a closed-form lower bound on f over the sphere; it certifies the closed
 forms of unital channels (King) and of states with maximally mixed
-marginals (Luo) without a search. Otherwise they share one route: a
-four-row linear program over a grid of directions, solved by a dense
-simplex, then damped Newton steps on the optimality conditions, which
-differ only in how the weighted average of the directions is balanced.
-Both bounds are then the minimum over the sphere of f less a plane: the
-LP dual's for correlations, for chi the tangent plane at the ensemble's
-average. It is found by Newton steps from the best grid directions and
-the solution's own, all polished in one batch. The fidelity dual has
+marginals (Luo) without a search. Otherwise they share one route:
+damped Newton steps on the optimality conditions, which differ only in
+how the weighted average of the directions is balanced, from a start
+that a four-row linear program over a grid of directions, solved by a
+dense simplex, provides. Classical correlations first polish from the
+pair itself, often already optimal, and solve the LP only when that
+round leaves a gap. Both bounds are the minimum over the sphere of f
+less a plane: the LP dual's for correlations, for chi the tangent plane
+at the ensemble's average. It is found by Newton steps from the best
+grid directions and the solution's own, all polished in one batch. The
+fidelity dual has
 three variables and is minimized by damped Newton steps; primal
 channels are built on its top eigenspaces, smallest first, until one
 is within 1e-10 of the dual bound.
@@ -445,9 +448,12 @@ def _polish_measurement(frame, c, u, y, y0, iterations=30, ensemble=False):
     squares solution of the Jacobian stacked on the damping: the normal
     equations would square its condition number, which is already large
     on near-constant channels. A step that would take a weight below 0
-    stops where it reaches 0.
+    stops where it reaches 0. A start whose residual is at most 1e-12
+    comes back unchanged.
     """
     res, jac = _kkt_system(frame, c, u, y, y0, ensemble)
+    if np.linalg.norm(res) <= 1e-12:
+        return c, u, y, y0
     for _ in range(iterations):
         norm = np.linalg.norm(res)
         if norm <= 1e-12:
@@ -488,7 +494,9 @@ def _chi_primal_dual(frame):
     T(u_i) = f(m), so chi = f(m) - sum w f(u_i) = sum w (T - f)(u_i) <=
     max over the sphere of T - f, whatever T's slope. The polish ties y
     to grad f(m), which makes T the tangent plane at m and the bound the
-    minimax one.
+    minimax one. While the gap is wide the sphere's maximizer of T - f
+    joins the ensemble at weight 1/100, merged by _cluster, so the
+    ensemble keeps at most four states across rounds.
     """
     u, low = _axis_pair(frame)
     w = np.array([0.5, 0.5])
@@ -508,7 +516,7 @@ def _chi_primal_dual(frame):
         lower, upper = f[0] - w @ f[1:], -low
         if upper - lower <= _TARGET_GAP or k == _ROUNDS - 1:
             break
-        w, u = np.append(0.99 * w, 0.01), np.vstack([u, u_star])
+        w, u = _cluster(np.append(0.99 * w, 0.01), np.vstack([u, u_star]))
         y0 = w @ (_frame_entropy(frame, u) - u @ y)
     return w, u, lower, upper, "lp-kkt minimax"
 
@@ -643,13 +651,16 @@ def _correlation_primal_dual(rho_ab, side):
     # sum c f(u) >= min f for every POVM; the pair closes it when a = b = 0
     u, low = _axis_pair(frame)
     c = np.array([0.5, 0.5])
-    cond = c @ _frame_entropy(frame, u)
-    points = _GRID
+    f = _frame_entropy(frame, u)
+    cond = c @ f
+    # the pair's dual: its value rows hold, y0 + y.(+-u*) = f(+-u*)
+    y0, y = cond, u[0] * (f[0] - f[1]) / 2
     for k in range(_ROUNDS):
         if cond - low <= _TARGET_GAP:
             break
-        c, y0, y = _measurement_lp(frame, points)
-        c, u = _cluster(c, points)
+        if k:
+            c, y0, y = _measurement_lp(frame, points)
+            c, u = _cluster(c, points)
         c, u, y, y0 = _polish_measurement(frame, c, u, y, y0)
         # sum c f(u) >= y0 + min(f - y0 - y.u) for every POVM
         low, u_star = _sphere_min(frame, y0, y, u)
@@ -680,16 +691,19 @@ def classical_correlations(rho_ab, side="b"):
     matrix T comes first, against the closed-form bound of _axis_pair on
     min f from |a|, |b| and T's top singular value. Within 1e-10 of each
     other they answer, as they do when both marginals are maximally
-    mixed, where J = 1 - H((1 + s_max) / 2) (Luo). Otherwise a linear
-    program over a 400-point grid of directions, solved by a four-row
-    simplex, picks the weights, and damped Newton (Levenberg-Marquardt)
-    steps on its optimality conditions polish weights and directions.
+    mixed, where J = 1 - H((1 + s_max) / 2) (Luo). Otherwise damped
+    Newton (Levenberg-Marquardt) steps on the optimality conditions
+    polish weights and directions, first from that pair, with the dual
+    (y0, y) whose plane y0 + y.u meets f at both antipodes; a pair that
+    is already stationary, as for noisy pure states, is kept as it is.
     Any y in R^3 gives the dual bound J <= S(remote) - min over the
     sphere of f(u) - y.u, which holds for every POVM because f is
     concave on the Bloch ball; the minimum comes from a grid plus local
     polish, so the bound is exact if that finds the global minimum.
-    While the gap is wide the minimizers and their antipodes join the LP
-    and the polish runs again. The POVM is built as matrices and its
+    While the gap is wide a linear program over a 400-point grid of
+    directions, the last round's directions, the sphere's minimizer and
+    its antipode, solved by a four-row simplex, picks new weights and
+    the polish runs again. The POVM is built as matrices and its
     value recomputed from them. Raises RuntimeError if the bound is more
     than 1e-8 above that value.
     """
