@@ -4,7 +4,9 @@ A channel is extremal exactly when the products {A_i^dag A_j} of its
 minimal Kraus operators are linearly independent. Everything else is a
 mixture, and the splitting can be carried out constructively: walk
 inside the face of the Choi matrix to an extremal point, subtract as
-much of it as positivity allows, and repeat on what is left. Each round
+much of it as positivity allows, and repeat on what is left. The walk
+heads for the one trace-preserving point on the n heaviest directions
+and, when that point is positive, lands on it in one step. Each round
 lowers the Choi rank, so at most rank(C) parts come out.
 """
 
@@ -66,8 +68,9 @@ def main():
                          require_tp=True)
     psi, chi, chi_space = extremal.rank_reducing_input(ch)
     out = channel.apply(ch, np.outer(psi, psi.conj()))
+    # + 0.0 prints a rounding-sized negative eigenvalue as 0, not -0
     print("  channel rank %d, image eigenvalues %s"
-          % (channel.rank(ch), np.round(numkit.eigh(out)[0], 6)))
+          % (channel.rank(ch), np.round(numkit.eigh(out)[0], 6) + 0.0))
     print("  annihilated direction, <chi|image|chi> = %.2e"
           % float((chi.conj() @ out @ chi).real))
 

@@ -20,13 +20,11 @@ TP_TOL = 1e-10  # largest entry of sum A^dag A - I (or A A^dag - I)
 
 
 def choi_matrix(kraus):
-    """Unnormalized Choi matrix sum_k vec(A_k^T) vec(A_k^T)^dag."""
-    n = kraus[0].shape[0]
-    c = np.zeros((n * n, n * n), dtype=complex)
-    for a in kraus:
-        v = numkit.mat_to_vec(a.T)
-        c += np.outer(v, v.conj())
-    return c
+    """Unnormalized Choi matrix sum_k vec(A_k^T) vec(A_k^T)^dag, one
+    product x^T conj(x) of the stacked rows x_k = vec(A_k^T)."""
+    x = np.asarray(kraus, dtype=complex).transpose(0, 2, 1)
+    x = x.reshape(len(x), -1)  # row k: numkit.mat_to_vec(A_k^T)
+    return x.T @ x.conj()
 
 
 class Channel:

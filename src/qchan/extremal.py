@@ -2,10 +2,14 @@
 
 A TP channel with minimal Kraus list {A_i = |A_i| v_i} is extremal in the
 convex body of channels exactly when the m^2 products {v_i^dag v_j} are
-linearly independent. A Hermitian Q with sum_jk Q_jk v_k^dag v_j = 0
-moves it inside the face of its Choi matrix and keeps it TP; there a
-point is an m x k factor F with Kraus operators sum_i F_il v_i. Roots of
-det(sum_i c_i A_i) yield rank-reducing inputs.
+linearly independent, so its rank is at most n. A Hermitian Q with
+sum_jk Q_jk v_k^dag v_j = 0 moves it inside the face of its Choi matrix
+and keeps it TP; there a point is an m x k factor F with Kraus operators
+sum_i F_il v_i. On n directions with independent products the n^2 trace
+conditions fix one TP point: the peel steps toward that point of the
+remainder's n heaviest directions and, where it is PSD, lands on it, one
+null test per part. Roots of det(sum_i c_i A_i) yield rank-reducing
+inputs.
 """
 
 import collections
@@ -65,6 +69,23 @@ def is_extremal_constrained(ch, rho1):
             and _perturbation(v, rho1=rho1) is None)
 
 
+def _product_svd(ks, rho1=None):
+    """The thin SVD (u, s, vh) of the real map from a Hermitian Q's
+    coordinates in numkit.hermitian_coords (diagonal units first) to
+    the real and imaginary parts of sum_jk Q_jk A_k^dag A_j, one row per
+    basis element; with rho1 given, sum_jk Q_jk A_j rho1 A_k^dag is
+    appended to each row. A map, not its Gram matrix, which would
+    square the conditioning."""
+    m = len(ks)
+    prods = np.einsum("jax,kay->jkxy", ks.conj(), ks)
+    if rho1 is not None:
+        prods = np.concatenate([prods, np.einsum(
+            "kxa,ab,jyb->jkxy", ks, rho1, ks.conj())], axis=3)
+    out = numkit.hermitian_coords(prods).reshape(m * m, -1)
+    return np.linalg.svd(np.concatenate([out.real, out.imag], axis=1),
+                         full_matrices=False)
+
+
 def _perturbation(ks, tol=_NULL_TOL, rho1=None):
     """The unit Hermitian Q with sum_jk Q_jk A_k^dag A_j = 0 (singular
     values up to tol times the largest counting as zero) of least
@@ -72,23 +93,14 @@ def _perturbation(ks, tol=_NULL_TOL, rho1=None):
     With rho1 given, Q must also annihilate sum_jk Q_jk A_j rho1 A_k^dag,
     the doubled family of is_extremal_constrained.
 
-    A thin SVD of the map itself (a Gram matrix would square the
-    conditioning), from Q's coordinates in numkit.hermitian_coords
-    (diagonal units first) to its images, gives the null projector
-    P = I - U U^T. Least off-diagonal mass is most diagonal mass: P d, d
-    the top eigenvector of P's diagonal block or, with no diagonal mass
-    above tol, the basis element of largest P_bb. The sign decides which
-    side of a split comes first.
+    _product_svd's U gives the null projector P = I - U U^T. Least
+    off-diagonal mass is most diagonal mass: P d, d the top eigenvector
+    of P's diagonal block or, with no diagonal mass above tol, the basis
+    element of largest P_bb. The sign decides which side of a split
+    comes first.
     """
     m = len(ks)
-    # row b: the image of basis element b, real and imaginary parts
-    prods = np.einsum("jax,kay->jkxy", ks.conj(), ks)
-    if rho1 is not None:
-        prods = np.concatenate([prods, np.einsum(
-            "kxa,ab,jyb->jkxy", ks, rho1, ks.conj())], axis=3)
-    out = numkit.hermitian_coords(prods).reshape(m * m, -1)
-    u, s = np.linalg.svd(np.concatenate([out.real, out.imag], axis=1),
-                         full_matrices=False)[:2]
+    u, s = _product_svd(ks, rho1)[:2]
     u = u[:, :np.count_nonzero(s > tol * s[0])]
     if u.shape[1] == m * m:
         return None
@@ -128,26 +140,64 @@ def _face_step(f, w, z):
     return f @ (z[:, keep] * np.sqrt(x[keep])), 1 / w[-1]
 
 
+def _null_cut(s, n):
+    """The walk's null cut at the point p diag(s) r^dag of an
+    n-dimensional channel: _NULL_TOL / weight (the channel split having
+    weight one, sum s^2 = n weight), capped at 1e-8 and never below
+    is_extremal_tp's bound, so every point the walk stops at passes that
+    test. A step then moves the trace condition by about _NULL_TOL in
+    the channel's units, in which rounding is absolute."""
+    return min(_NULL_TOL * n / np.sum(s ** 2), 1e-8)
+
+
+def _landing(u, s):
+    """The step from the point p diag(s) r^dag of rank k > n, its
+    directions u = p^T v, toward the TP point on its n heaviest
+    directions w = u[:n]: numkit.eigh((diag(s^2) - Z (+) 0) / s s^T) for
+    _face_step. Z is the one Hermitian with sum_jk Z_jk w_k^dag w_j = c I,
+    c = sum s^2 / n, which exists when the n^2 products w_j^dag w_k are
+    independent by _perturbation's null test at the walk's cut. None at
+    rank k <= n or on dependent products.
+
+    Both ends of the step meet the trace condition with the same c, so
+    it moves along a null direction. With Z PSD it lands on Z (+) 0, the
+    top k - n eigenvalues dropping together; otherwise it stops at the
+    PSD boundary short of Z, with rank dropped by at least one."""
+    n = u.shape[1]
+    if len(s) <= n:
+        return None
+    vec, sv, vh = _product_svd(u[:n])
+    if sv[-1] <= _null_cut(s, n) * sv[0]:
+        return None
+    c = np.sum(s ** 2) / n
+    z = vec @ (vh[:, :n * n] @ (c * np.eye(n).ravel()) / sv)
+    g = np.diag(s ** 2).astype(complex)
+    g[:n, :n] -= numkit.hermitian_from_coords(z)
+    return numkit.eigh(g / np.outer(s, s))
+
+
 def _walk(f, v):
     """An extremal point in the face of the point f = p diag(s) r^dag.
 
-    The null test runs on the point's Choi eigenvectors u = p^T v at
-    _NULL_TOL / weight (the channel split having weight one), capped at
-    1e-8 and never below is_extremal_tp's bound, so every point the walk
-    stops at passes that test. A step then moves the trace condition by
-    about _NULL_TOL in the channel's units, in which rounding is
-    absolute. Each step goes to the nearer boundary, so no coefficient
-    grows by more than sqrt(2)."""
+    At rank k > n the walk steps toward the TP point of its n heaviest
+    directions (_landing), which it reaches whenever that point is PSD.
+    Otherwise, and to certify the end, it runs the null test at
+    _null_cut and steps along _perturbation's Q to the nearer boundary
+    of the face. Each step drops the rank. What bounds the coefficients
+    is the face itself: every point of it is PSD with trace
+    sum s^2 = n weight, so |f| stays sqrt(n weight) at every step."""
+    n = v.shape[1]
     while True:
         p, s = np.linalg.svd(f, full_matrices=False)[:2]
-        tol = min(_NULL_TOL * v.shape[1] / np.sum(s ** 2), 1e-8)
-        q = _perturbation(np.tensordot(p.T, v, 1), tol)
-        if q is None:
-            return f
-        w, z = numkit.eigh(q / np.outer(s, s))
-        if w[-1] < -w[0]:
-            w, z = -w[::-1], z[:, ::-1]
-        f = _face_step(p * s, w, z)[0]
+        u = np.tensordot(p.T, v, 1)
+        step = _landing(u, s)
+        if step is None:
+            q = _perturbation(u, _null_cut(s, n))
+            if q is None:
+                return f
+            w, z = numkit.eigh(q / np.outer(s, s))
+            step = (w, z) if w[-1] >= -w[0] else (-w[::-1], z[:, ::-1])
+        f = _face_step(p * s, *step)[0]
 
 
 def _tp_channel(f, v):

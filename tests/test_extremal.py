@@ -238,6 +238,62 @@ def test_decompose_peels_four_dimensional_channels(rank):
     _check_peel(ch)
 
 
+def _peel_null_tests(ch):
+    """The parts of ch's peel and the null tests (_perturbation calls)
+    that it ran."""
+    calls = []
+    inner = extremal._perturbation
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(extremal, "_perturbation", counted)
+        parts = extremal.decompose_into_extremals(ch)
+    return parts, len(calls)
+
+
+@pytest.mark.parametrize("make, parts, tests", [
+    (lambda: random_tp_channel(np.random.default_rng(3), 3, 9), 7, 7),
+    (lambda: random_tp_channel(np.random.default_rng(16), 4, 16), 13, 13),
+    (lambda: channel.depolarizing(0.7), 4, 5),
+    (lambda: channel.completely_depolarizing(3), 5, 8),
+    (lambda: channel.phase_flip(0.3), 2, 4)],
+    ids=["qutrit-rank9", "n4-rank16", "depolarizing", "cdep3", "phase-flip"])
+def test_decompose_lands_each_part_with_one_null_test(make, parts, tests):
+    """Above rank n the walk steps toward the TP point of its n heaviest
+    directions and lands there, so a random channel's peel runs one null
+    test per part, the test that certifies it. A walk that drops one
+    rank per null test ran 28, 91, 9, 17 and 4 here; phase_flip(0.3) has
+    rank n = 2, where nothing lands."""
+    got, count = _peel_null_tests(make())
+    assert (len(got), count) == (parts, tests)
+
+
+_FOUR_DIMENSIONAL = st.builds(
+    lambda seed, m: random_tp_channel(np.random.default_rng(seed), 4, m),
+    _SEEDS, st.sampled_from([8, 12, 16]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(_CHANNELS, _FOUR_DIMENSIONAL))
+@example(channel.completely_depolarizing(3))
+def test_landing_keeps_the_peel_with_fewer_null_tests(ch):
+    """The peel passes _check_peel with the landing and with it
+    declined (the walk then steps along _perturbation's Q alone), and
+    the landing never runs more null tests than that walk."""
+    _check_peel(ch)
+    if extremal.is_extremal_tp(ch):
+        return
+    landed = _peel_null_tests(ch)[1]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(extremal, "_landing", lambda u, s: None)
+        _check_peel(ch)
+        declined = _peel_null_tests(ch)[1]
+    assert landed <= declined
+
+
 def _null_reference(v, tol=1e-10):
     """The least off-diagonal mass of a unit null element, the long way
     (every null Hermitian matrix formed, then a full SVD of their
